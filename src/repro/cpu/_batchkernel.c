@@ -1,10 +1,13 @@
-/* C twin of the pure-Python cycle kernel in _batchkernel.py.
+/* Batch-engine cycle kernel: the inline simulator's run() loop
+ * (repro.cpu.pipeline.Simulator) over precomputed branch/memory
+ * profiles.
  *
  * Compiled on demand by repro.cpu._batchkernel.get_kernel() with the
- * system C compiler (cc -O2 -shared -fPIC) and loaded via ctypes; it
- * must stay a line-for-line transcription of advance_cell() — the
- * Python kernel is the executable specification, and the test suite
- * runs both against the inline simulator's golden numbers.
+ * system C compiler (cc -O2 -shared -fPIC) and loaded via ctypes.  The
+ * inline simulator is its reference: the golden-stats gate under
+ * REPRO_SIM_ENGINE=batch and the --engine fuzz metamorphic require
+ * bit-identical SimStats.  Without a compiler the batch engine runs
+ * every cell inline instead.
  *
  * Return codes: 0 done, 1 horizon reached, 2 deadlock, 3 ring overflow.
  */
@@ -83,6 +86,7 @@
 #define FLAG_STORE 2
 #define FLAG_CDP 4
 
+/* repro.cpu.pipeline._WATCHDOG_PERIOD - 1 */
 #define WD_MASK 8191
 
 typedef long long i64;

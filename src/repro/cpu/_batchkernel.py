@@ -1,32 +1,28 @@
-"""Per-cell cycle kernels for the batch simulation engine.
+"""Cell state and C cycle-kernel loader for the batch simulation engine.
 
 The batch engine (:mod:`repro.cpu.batch`) precomputes everything the
 inline :class:`repro.cpu.pipeline.Simulator` derives from the memory
 system and branch predictor into flat *profiles* (branch actions, i-side
 fetch events, a warmed d-cache image), which reduces one grid cell's
 cycle loop to pure integer state-machine stepping over those arrays.
-This module holds that stepper in two bit-identical implementations:
+That stepper is a small C translation of the inline simulator's
+``run()`` loop (``_batchkernel.c``), compiled on first use with the
+system C compiler into a per-user cache directory and loaded via
+:mod:`ctypes`.  No third-party build machinery, no pip dependency.
 
-* :func:`advance_cell` — the pure-Python reference kernel.  It is the
-  executable specification: a line-for-line transcription of the inline
-  simulator's ``run()`` loop with the memory/branch components replaced
-  by profile lookups.
-* a small C translation (``_batchkernel.c``), compiled on first use with
-  the system C compiler into a per-user cache directory and loaded via
-  :mod:`ctypes`.  No third-party build machinery, no pip dependency —
-  when no compiler is available the Python kernel runs instead (same
-  numbers, less speed).
+Its reference is the inline simulator itself: the golden-stats gate
+under ``REPRO_SIM_ENGINE=batch`` and the ``--engine`` fuzz metamorphic
+compare the two bit for bit.  When no compiler is available,
+:func:`get_kernel` returns ``None`` and the batch engine runs every cell
+inline (same numbers, less speed).
 
-``REPRO_BATCH_CKERNEL=0`` forces the Python kernel (CI uses this to
-prove the two stay in lockstep).
-
-Both kernels operate on one *cell* (a :class:`CellState`) at a time and
-advance it up to a caller-chosen cycle horizon, which is what lets the
+The kernel operates on one *cell* (a :class:`CellState`) at a time and
+advances it up to a caller-chosen cycle horizon, which is what lets the
 batch engine run many cells in lockstep rounds.  All mutable state lives
 in the cell's ``regs`` vector and side arrays, so a cell can be resumed
-across rounds (and across kernels) freely.
+across rounds freely.
 
-Status codes returned by both kernels:
+Status codes returned by the kernel:
 
 ====  ========================================================
 0     trace fully committed (``regs[R_NOW]`` is the cycle count)
@@ -49,8 +45,8 @@ from typing import Any, List, Optional, Tuple
 # One int64 vector per cell holds every scalar the cycle loop mutates
 # (machine state, statistics counters) plus the cell's configuration
 # constants, so a kernel call is pure array-in/array-out.  The C kernel
-# mirrors these indices with #defines; `tests/test_batch_engine.py`
-# asserts parity of the two kernels, which pins the layout.
+# mirrors these indices with #defines; the bit-identity tests against
+# the inline simulator pin the layout.
 
 # mutable machine state
 R_NOW = 0
@@ -131,9 +127,6 @@ FLAG_LOAD = 1
 FLAG_STORE = 2
 FLAG_CDP = 4
 
-#: matches repro.cpu.pipeline._WATCHDOG_PERIOD
-_WD_MASK = 8191
-
 
 def pow2ceil(value: int) -> int:
     """Smallest power of two >= max(value, 1)."""
@@ -144,11 +137,8 @@ def pow2ceil(value: int) -> int:
 
 
 class SharedArrays:
-    """Read-only per-batch arrays shared by every cell of one class.
-
-    Either plain Python lists/bytearrays (Python kernel) or numpy arrays
-    (C kernel); the batch engine builds the right flavour once.
-    """
+    """Read-only per-batch numpy arrays shared by every cell of one
+    class."""
 
     __slots__ = (
         "n", "sizes", "lats", "fus", "flags", "bact", "crit",
@@ -174,12 +164,11 @@ class CellState:
 
 def make_cell(shared: SharedArrays, n_events: int, config: Any,
               dc_snapshot: Tuple[int, int, List[int], List[int]],
-              max_latency: int, np: Any = None) -> CellState:
+              max_latency: int, np: Any) -> CellState:
     """Build the initial :class:`CellState` for one config.
 
-    ``np`` selects the array flavour: the numpy module for the C kernel,
-    ``None`` for Python lists (reference kernel).  ``dc_snapshot`` is the
-    warmed d-cache image ``(num_sets, assoc, occupancy, flat MRU tags)``.
+    ``np`` is the numpy module.  ``dc_snapshot`` is the warmed d-cache
+    image ``(num_sets, assoc, occupancy, flat MRU tags)``.
     """
     n = shared.n
     dc_sets, dc_assoc, dc_occ_img, dc_tags_img = dc_snapshot
@@ -232,577 +221,30 @@ def make_cell(shared: SharedArrays, n_events: int, config: Any,
     dc_flat = list(dc_tags_img)
     dc_flat += [0] * (dc_sets * dc_assoc - len(dc_flat))
 
-    if np is None:
-        cs.regs = regs
-        cs.head_c = [-1] * n
-        cs.fetch_c = [-1] * n
-        cs.decode_c = [-1] * n
-        cs.dispatch_c = [-1] * n
-        cs.issue_c = [-1] * n
-        cs.complete_c = [-1] * n
-        cs.commit_c = [-1] * n
-        cs.completed = bytearray(n)
-        cs.dispatched = bytearray(n)
-        cs.remaining = [0] * n
-        cs.rob = [0] * rob_cap
-        cs.fq = [0] * fq_cap_ring
-        cs.dq = [0] * dq_cap
-        cs.pending = [0] * rob_cap
-        cs.ready = [0] * ready_cap
-        cs.readyc = [0] * ready_cap
-        cs.wheel_head = [0] * wheel_cap
-        cs.wheel_tail = [0] * wheel_cap
-        cs.next_comp = [0] * n
-        cs.ev_time = [0] * max(n_events, 1)
-        cs.dc_tags = dc_flat
-        cs.dc_occ = list(dc_occ_img)
-        cs.window = [0] * win_cap
-    else:
-        cs.regs = np.array(regs, dtype=np.int64)
-        for name in ("head_c", "fetch_c", "decode_c", "dispatch_c",
-                     "issue_c", "complete_c", "commit_c"):
-            setattr(cs, name, np.full(n, -1, dtype=np.int64))
-        cs.completed = np.zeros(n, dtype=np.uint8)
-        cs.dispatched = np.zeros(n, dtype=np.uint8)
-        cs.remaining = np.zeros(n, dtype=np.int32)
-        cs.rob = np.zeros(rob_cap, dtype=np.int32)
-        cs.fq = np.zeros(fq_cap_ring, dtype=np.int32)
-        cs.dq = np.zeros(dq_cap, dtype=np.int32)
-        cs.pending = np.zeros(rob_cap, dtype=np.int32)
-        cs.ready = np.zeros(ready_cap, dtype=np.int32)
-        cs.readyc = np.zeros(ready_cap, dtype=np.int32)
-        cs.wheel_head = np.zeros(wheel_cap, dtype=np.int32)
-        cs.wheel_tail = np.zeros(wheel_cap, dtype=np.int32)
-        cs.next_comp = np.zeros(n, dtype=np.int32)
-        cs.ev_time = np.zeros(max(n_events, 1), dtype=np.int64)
-        cs.dc_tags = np.array(dc_flat, dtype=np.int64)
-        cs.dc_occ = np.array(dc_occ_img, dtype=np.int32)
-        cs.window = np.zeros(win_cap, dtype=np.int32)
+    cs.regs = np.array(regs, dtype=np.int64)
+    for name in ("head_c", "fetch_c", "decode_c", "dispatch_c",
+                 "issue_c", "complete_c", "commit_c"):
+        setattr(cs, name, np.full(n, -1, dtype=np.int64))
+    cs.completed = np.zeros(n, dtype=np.uint8)
+    cs.dispatched = np.zeros(n, dtype=np.uint8)
+    cs.remaining = np.zeros(n, dtype=np.int32)
+    cs.rob = np.zeros(rob_cap, dtype=np.int32)
+    cs.fq = np.zeros(fq_cap_ring, dtype=np.int32)
+    cs.dq = np.zeros(dq_cap, dtype=np.int32)
+    cs.pending = np.zeros(rob_cap, dtype=np.int32)
+    cs.ready = np.zeros(ready_cap, dtype=np.int32)
+    cs.readyc = np.zeros(ready_cap, dtype=np.int32)
+    cs.wheel_head = np.zeros(wheel_cap, dtype=np.int32)
+    cs.wheel_tail = np.zeros(wheel_cap, dtype=np.int32)
+    cs.next_comp = np.zeros(n, dtype=np.int32)
+    cs.ev_time = np.zeros(max(n_events, 1), dtype=np.int64)
+    cs.dc_tags = np.array(dc_flat, dtype=np.int64)
+    cs.dc_occ = np.array(dc_occ_img, dtype=np.int32)
+    cs.window = np.zeros(win_cap, dtype=np.int32)
     return cs
 
 
-# -- pure-Python reference kernel ----------------------------------------------
-
-def advance_cell(sh: SharedArrays, cs: CellState, max_now: int) -> int:
-    """Advance one cell until done or ``regs[R_NOW] >= max_now``.
-
-    A transcription of ``Simulator.run()``'s cycle loop (reverse-pipeline
-    stage order: commit, writeback, issue, dispatch, decode, fetch) with
-    the branch unit replaced by the ``bact`` action profile, ``ifetch``
-    by the i-side event stream, and the d-cache modeled in place.
-    """
-    regs = cs.regs
-    n = sh.n
-
-    now = regs[R_NOW]
-    committed = regs[R_COMMITTED]
-    fetch_pos = regs[R_FETCH_POS]
-    icache_ready = regs[R_ICACHE_READY]
-    fetch_resume = regs[R_FETCH_RESUME]
-    redirect_pos = regs[R_REDIRECT_POS]
-    rob_head = regs[R_ROB_HEAD]
-    rob_tail = regs[R_ROB_TAIL]
-    fq_head = regs[R_FQ_HEAD]
-    fq_tail = regs[R_FQ_TAIL]
-    dq_head = regs[R_DQ_HEAD]
-    dq_tail = regs[R_DQ_TAIL]
-    pend_head = regs[R_PEND_HEAD]
-    pend_tail = regs[R_PEND_TAIL]
-    nready = regs[R_READY_N]
-    nreadyc = regs[R_READYC_N]
-    unissued = regs[R_UNISSUED]
-    next_ev = regs[R_NEXT_EV]
-    in_flight = regs[R_INFLIGHT]
-    wd_committed = regs[R_WD_COMMITTED]
-    wd_fetch_pos = regs[R_WD_FETCH_POS]
-
-    f_active = regs[R_F_ACTIVE]
-    f_icache = regs[R_F_ICACHE]
-    f_branch = regs[R_F_BRANCH]
-    f_switch = regs[R_F_SWITCH]
-    f_bp = regs[R_F_BP]
-    f_drained = regs[R_F_DRAINED]
-    fc_active = regs[R_FC_ACTIVE]
-    fc_icache = regs[R_FC_ICACHE]
-    fc_branch = regs[R_FC_BRANCH]
-    fc_switch = regs[R_FC_SWITCH]
-    fc_bp = regs[R_FC_BP]
-    iq_occ_sum = regs[R_IQ_OCC_SUM]
-    iq_full = regs[R_IQ_FULL]
-    rob_occ_sum = regs[R_ROB_OCC_SUM]
-    cdp_decoded = regs[R_CDP_DECODED]
-    dc_acc = regs[R_DC_ACC]
-    dc_miss = regs[R_DC_MISS]
-    l2d_acc = regs[R_L2D_ACC]
-
-    commit_w = regs[R_COMMIT_W]
-    rename_w = regs[R_RENAME_W]
-    issue_w = regs[R_ISSUE_W]
-    rob_entries = regs[R_ROB_ENTRIES]
-    iq_entries = regs[R_IQ_ENTRIES]
-    decode_bytes_w = regs[R_DECODE_BYTES]
-    cdp_extra = regs[R_CDP_EXTRA]
-    fetch_bytes = regs[R_FETCH_BYTES]
-    fq_cap = regs[R_FQ_CAP]
-    decode_cap = regs[R_DECODE_CAP]
-    sched_win = regs[R_SCHED_WIN]
-    backend_prio = regs[R_BACKEND_PRIO]
-    redirect_pen = regs[R_REDIRECT_PEN]
-    switch_bubble = regs[R_SWITCH_BUBBLE]
-    fu_base = (regs[R_FU_ALU], regs[R_FU_MUL], regs[R_FU_FP],
-               regs[R_FU_MEM], regs[R_FU_BRANCH])
-    icache_hit = regs[R_ICACHE_HIT]
-    l2_hit = regs[R_L2_HIT]
-    dcache_hit = regs[R_DCACHE_HIT]
-    dc_sets = regs[R_DC_SETS]
-    dc_assoc = regs[R_DC_ASSOC]
-    rob_mask = regs[R_ROB_MASK]
-    fq_mask = regs[R_FQ_MASK]
-    dq_mask = regs[R_DQ_MASK]
-    pend_mask = regs[R_PEND_MASK]
-    wheel_mask = regs[R_WHEEL_MASK]
-
-    sizes = sh.sizes
-    lats = sh.lats
-    fus = sh.fus
-    flags = sh.flags
-    bact = sh.bact
-    crit = sh.crit
-    iev = sh.iev
-    ev_kind = sh.ev_kind
-    ev_lat = sh.ev_lat
-    ev_creator = sh.ev_creator
-    prod_ptr = sh.prod_ptr
-    prod_idx = sh.prod_idx
-    cons_ptr = sh.cons_ptr
-    cons_idx = sh.cons_idx
-    d_set = sh.d_set
-    d_tag = sh.d_tag
-
-    head_c = cs.head_c
-    fetch_c = cs.fetch_c
-    decode_c = cs.decode_c
-    dispatch_c = cs.dispatch_c
-    issue_c = cs.issue_c
-    complete_c = cs.complete_c
-    commit_c = cs.commit_c
-    completed = cs.completed
-    dispatched = cs.dispatched
-    remaining = cs.remaining
-    rob = cs.rob
-    fq = cs.fq
-    dq = cs.dq
-    pending = cs.pending
-    ready = cs.ready
-    readyc = cs.readyc
-    wheel_head = cs.wheel_head
-    wheel_tail = cs.wheel_tail
-    next_comp = cs.next_comp
-    ev_time = cs.ev_time
-    dc_tags = cs.dc_tags
-    dc_occ = cs.dc_occ
-
-    status = 1
-    while True:
-        if committed >= n:
-            status = 0
-            break
-        if now >= max_now:
-            status = 1
-            break
-
-        # ---- commit ----
-        width = commit_w
-        while width and rob_head != rob_tail:
-            pos = rob[rob_head & rob_mask]
-            if not completed[pos]:
-                break
-            commit_c[pos] = now
-            rob_head += 1
-            committed += 1
-            width -= 1
-
-        # ---- writeback / wake-up ----
-        slot = now & wheel_mask
-        link = wheel_head[slot]
-        if link:
-            wheel_head[slot] = 0
-            wheel_tail[slot] = 0
-            while link:
-                pos = link - 1
-                completed[pos] = 1
-                complete_c[pos] = now
-                in_flight -= 1
-                for k in range(cons_ptr[pos], cons_ptr[pos + 1]):
-                    consumer = cons_idx[k]
-                    if dispatched[consumer] and not completed[consumer]:
-                        rem = remaining[consumer] - 1
-                        remaining[consumer] = rem
-                        if rem == 0 and not sched_win:
-                            if backend_prio and crit[consumer]:
-                                readyc[nreadyc] = consumer
-                                nreadyc += 1
-                            else:
-                                ready[nready] = consumer
-                                nready += 1
-                link = next_comp[pos]
-
-        # ---- issue ----
-        if sched_win:
-            while pend_head != pend_tail \
-                    and issue_c[pending[pend_head & pend_mask]] >= 0:
-                pend_head += 1
-            slots = issue_w
-            caps = list(fu_base)
-            window: List[int] = []
-            idx = pend_head
-            while idx != pend_tail and len(window) < sched_win:
-                pos = pending[idx & pend_mask]
-                if issue_c[pos] < 0:
-                    window.append(pos)
-                idx += 1
-            if backend_prio and window:
-                # stable critical-first partition (== sort by `not crit`)
-                window = ([p for p in window if crit[p]]
-                          + [p for p in window if not crit[p]])
-            for pos in window:
-                if slots == 0:
-                    break
-                if remaining[pos] != 0:
-                    continue
-                fu_i = fus[pos]
-                if caps[fu_i] <= 0:
-                    continue
-                caps[fu_i] -= 1
-                slots -= 1
-                unissued -= 1
-                issue_c[pos] = now
-                # exec latency incl. the modeled d-cache
-                latency = lats[pos]
-                flag = flags[pos]
-                if flag & 3:
-                    tag = d_tag[pos]
-                    if tag >= 0:
-                        base = d_set[pos] * dc_assoc
-                        occ = dc_occ[d_set[pos]]
-                        dc_acc += 1
-                        way = -1
-                        for w in range(occ):
-                            if dc_tags[base + w] == tag:
-                                way = w
-                                break
-                        if way >= 0:
-                            for w in range(way, 0, -1):
-                                dc_tags[base + w] = dc_tags[base + w - 1]
-                            dc_tags[base] = tag
-                            mlat = dcache_hit
-                        else:
-                            dc_miss += 1
-                            l2d_acc += 1
-                            if occ < dc_assoc:
-                                dc_occ[d_set[pos]] = occ + 1
-                                end = occ
-                            else:
-                                end = dc_assoc - 1
-                            for w in range(end, 0, -1):
-                                dc_tags[base + w] = dc_tags[base + w - 1]
-                            dc_tags[base] = tag
-                            if flag & FLAG_LOAD:
-                                mlat = dcache_hit + l2_hit
-                            else:
-                                mlat = dcache_hit
-                        if mlat > latency:
-                            latency = mlat
-                if latency < 1:
-                    latency = 1
-                t = now + latency
-                slot2 = t & wheel_mask
-                tail = wheel_tail[slot2]
-                if tail:
-                    next_comp[tail - 1] = pos + 1
-                else:
-                    wheel_head[slot2] = pos + 1
-                wheel_tail[slot2] = pos + 1
-                next_comp[pos] = 0
-                in_flight += 1
-        elif nready or nreadyc:
-            slots = issue_w
-            caps = list(fu_base)
-            for qsel in ((1, 0) if backend_prio else (0,)):
-                queue = readyc if qsel else ready
-                count = nreadyc if qsel else nready
-                if not count:
-                    continue
-                kept = 0
-                for i in range(count):
-                    pos = queue[i]
-                    if slots == 0 or caps[fus[pos]] <= 0:
-                        queue[kept] = pos
-                        kept += 1
-                        continue
-                    caps[fus[pos]] -= 1
-                    slots -= 1
-                    unissued -= 1
-                    issue_c[pos] = now
-                    latency = lats[pos]
-                    flag = flags[pos]
-                    if flag & 3:
-                        tag = d_tag[pos]
-                        if tag >= 0:
-                            base = d_set[pos] * dc_assoc
-                            occ = dc_occ[d_set[pos]]
-                            dc_acc += 1
-                            way = -1
-                            for w in range(occ):
-                                if dc_tags[base + w] == tag:
-                                    way = w
-                                    break
-                            if way >= 0:
-                                for w in range(way, 0, -1):
-                                    dc_tags[base + w] = \
-                                        dc_tags[base + w - 1]
-                                dc_tags[base] = tag
-                                mlat = dcache_hit
-                            else:
-                                dc_miss += 1
-                                l2d_acc += 1
-                                if occ < dc_assoc:
-                                    dc_occ[d_set[pos]] = occ + 1
-                                    end = occ
-                                else:
-                                    end = dc_assoc - 1
-                                for w in range(end, 0, -1):
-                                    dc_tags[base + w] = \
-                                        dc_tags[base + w - 1]
-                                dc_tags[base] = tag
-                                if flag & FLAG_LOAD:
-                                    mlat = dcache_hit + l2_hit
-                                else:
-                                    mlat = dcache_hit
-                            if mlat > latency:
-                                latency = mlat
-                    if latency < 1:
-                        latency = 1
-                    t = now + latency
-                    slot2 = t & wheel_mask
-                    tail = wheel_tail[slot2]
-                    if tail:
-                        next_comp[tail - 1] = pos + 1
-                    else:
-                        wheel_head[slot2] = pos + 1
-                    wheel_tail[slot2] = pos + 1
-                    next_comp[pos] = 0
-                    in_flight += 1
-                if qsel:
-                    nreadyc = kept
-                else:
-                    nready = kept
-
-        # ---- dispatch / rename ----
-        width = rename_w
-        while width and dq_head != dq_tail \
-                and rob_tail - rob_head < rob_entries \
-                and unissued < iq_entries:
-            pos = dq[dq_head & dq_mask]
-            dq_head += 1
-            unissued += 1
-            dispatch_c[pos] = now
-            dispatched[pos] = 1
-            rem = 0
-            for k in range(prod_ptr[pos], prod_ptr[pos + 1]):
-                if not completed[prod_idx[k]]:
-                    rem += 1
-            remaining[pos] = rem
-            if rob_tail - rob_head > rob_mask:
-                return 3
-            rob[rob_tail & rob_mask] = pos
-            rob_tail += 1
-            if sched_win:
-                if pend_tail - pend_head > pend_mask:
-                    return 3
-                pending[pend_tail & pend_mask] = pos
-                pend_tail += 1
-            elif rem == 0:
-                if backend_prio and crit[pos]:
-                    readyc[nreadyc] = pos
-                    nreadyc += 1
-                else:
-                    ready[nready] = pos
-                    nready += 1
-            width -= 1
-
-        # ---- decode ----
-        decode_bytes = decode_bytes_w
-        while decode_bytes > 0 and fq_head != fq_tail \
-                and dq_tail - dq_head < decode_cap:
-            pos = fq[fq_head & fq_mask]
-            size = sizes[pos]
-            if size > decode_bytes:
-                break
-            if flags[pos] & FLAG_CDP:
-                fq_head += 1
-                decode_c[pos] = now
-                cdp_decoded += 1
-                completed[pos] = 1
-                complete_c[pos] = now
-                dispatch_c[pos] = now
-                issue_c[pos] = now
-                if rob_tail - rob_head > rob_mask:
-                    return 3
-                rob[rob_tail & rob_mask] = pos
-                rob_tail += 1
-                dispatched[pos] = 1
-                decode_bytes -= size + cdp_extra
-                continue
-            fq_head += 1
-            decode_c[pos] = now
-            dq[dq_tail & dq_mask] = pos
-            dq_tail += 1
-            decode_bytes -= size
-
-        # ---- fetch ----
-        if fetch_pos < n:
-            if head_c[fetch_pos] < 0:
-                head_c[fetch_pos] = now
-            is_crit_head = crit[fetch_pos]
-            if redirect_pos >= 0:
-                done_c = complete_c[redirect_pos]
-                if done_c >= 0 and done_c + redirect_pen <= now:
-                    redirect_pos = -1
-            if redirect_pos >= 0:
-                f_branch += 1
-                if is_crit_head:
-                    fc_branch += 1
-            elif now < fetch_resume:
-                f_switch += 1
-                if is_crit_head:
-                    fc_switch += 1
-            elif now < icache_ready:
-                f_icache += 1
-                if is_crit_head:
-                    fc_icache += 1
-            elif fq_tail - fq_head >= fq_cap:
-                f_bp += 1
-                if is_crit_head:
-                    fc_bp += 1
-            else:
-                budget = fetch_bytes
-                fetched = 0
-                icache_ready = 0
-                fetch_resume = 0
-                redirect_pos = -1
-                buffered = fq_tail - fq_head
-                while fetch_pos < n and budget > 0 and buffered < fq_cap:
-                    size = sizes[fetch_pos]
-                    if size > budget:
-                        break
-                    ev = iev[fetch_pos]
-                    if ev >= next_ev:
-                        # this i-line transition fires now
-                        ev_time[ev] = now
-                        next_ev = ev + 1
-                        if ev_kind[ev]:
-                            # in-flight next-line prefetch: pay residual
-                            residual = ev_time[ev_creator[ev]] \
-                                + l2_hit - now
-                            if residual < 0:
-                                residual = 0
-                            latency = icache_hit + residual
-                        else:
-                            latency = ev_lat[ev]
-                        if latency > icache_hit:
-                            icache_ready = now + latency
-                            break
-                    budget -= size
-                    fq[fq_tail & fq_mask] = fetch_pos
-                    fq_tail += 1
-                    buffered += 1
-                    fetch_c[fetch_pos] = now
-                    if head_c[fetch_pos] < 0:
-                        head_c[fetch_pos] = now
-                    fetched = 1
-                    pos = fetch_pos
-                    fetch_pos += 1
-                    action = bact[pos]
-                    if action:
-                        if action == 1:
-                            break
-                        if action == 2:
-                            redirect_pos = pos
-                            break
-                        fetch_resume = now + 1 + switch_bubble
-                        break
-                if fetched:
-                    f_active += 1
-                    if is_crit_head:
-                        fc_active += 1
-                else:
-                    f_icache += 1
-                    if is_crit_head:
-                        fc_icache += 1
-        else:
-            f_drained += 1
-
-        iq_occ_sum += unissued
-        if unissued >= iq_entries:
-            iq_full += 1
-        rob_occ_sum += rob_tail - rob_head
-
-        if now & _WD_MASK == _WD_MASK:
-            if committed == wd_committed and fetch_pos == wd_fetch_pos \
-                    and not in_flight:
-                status = 2
-                now += 1
-                break
-            wd_committed = committed
-            wd_fetch_pos = fetch_pos
-        now += 1
-
-    regs[R_NOW] = now
-    regs[R_COMMITTED] = committed
-    regs[R_FETCH_POS] = fetch_pos
-    regs[R_ICACHE_READY] = icache_ready
-    regs[R_FETCH_RESUME] = fetch_resume
-    regs[R_REDIRECT_POS] = redirect_pos
-    regs[R_ROB_HEAD] = rob_head
-    regs[R_ROB_TAIL] = rob_tail
-    regs[R_FQ_HEAD] = fq_head
-    regs[R_FQ_TAIL] = fq_tail
-    regs[R_DQ_HEAD] = dq_head
-    regs[R_DQ_TAIL] = dq_tail
-    regs[R_PEND_HEAD] = pend_head
-    regs[R_PEND_TAIL] = pend_tail
-    regs[R_READY_N] = nready
-    regs[R_READYC_N] = nreadyc
-    regs[R_UNISSUED] = unissued
-    regs[R_NEXT_EV] = next_ev
-    regs[R_INFLIGHT] = in_flight
-    regs[R_WD_COMMITTED] = wd_committed
-    regs[R_WD_FETCH_POS] = wd_fetch_pos
-    regs[R_F_ACTIVE] = f_active
-    regs[R_F_ICACHE] = f_icache
-    regs[R_F_BRANCH] = f_branch
-    regs[R_F_SWITCH] = f_switch
-    regs[R_F_BP] = f_bp
-    regs[R_F_DRAINED] = f_drained
-    regs[R_FC_ACTIVE] = fc_active
-    regs[R_FC_ICACHE] = fc_icache
-    regs[R_FC_BRANCH] = fc_branch
-    regs[R_FC_SWITCH] = fc_switch
-    regs[R_FC_BP] = fc_bp
-    regs[R_IQ_OCC_SUM] = iq_occ_sum
-    regs[R_IQ_FULL] = iq_full
-    regs[R_ROB_OCC_SUM] = rob_occ_sum
-    regs[R_CDP_DECODED] = cdp_decoded
-    regs[R_DC_ACC] = dc_acc
-    regs[R_DC_MISS] = dc_miss
-    regs[R_L2D_ACC] = l2d_acc
-    return status
-
-
 # -- C kernel loading ----------------------------------------------------------
-
-_ENV_CKERNEL = "REPRO_BATCH_CKERNEL"
 
 #: pointer-argument order of the C entry point (after the two scalars
 #: ``n`` and ``max_now``); must match ``repro_batch_advance`` exactly.
@@ -870,23 +312,17 @@ def _build_ckernel() -> Optional[ctypes.CDLL]:
     return fn
 
 
-def get_kernel() -> Tuple[str, Any]:
-    """Pick the cycle kernel: ``("c", fn)`` or ``("py", None)``.
+def get_kernel() -> Optional[Any]:
+    """The compiled C kernel, or ``None`` when it cannot be built.
 
-    The C kernel is compiled once per source revision into a per-user
-    cache dir; any failure (no compiler, read-only disk) silently falls
-    back to the Python reference kernel.  ``REPRO_BATCH_CKERNEL=0``
-    forces the fallback.
+    The kernel is compiled once per source revision into a per-user
+    cache dir; any failure (no compiler, read-only disk) yields ``None``
+    and the batch engine runs its cells inline instead.
     """
     global _ckernel
-    forced = os.environ.get(_ENV_CKERNEL, "").strip().lower()
-    if forced in ("0", "false", "off", "no", "py"):
-        return "py", None
     if _ckernel is False:
         _ckernel = _build_ckernel()
-    if _ckernel is None:
-        return "py", None
-    return "c", _ckernel
+    return _ckernel
 
 
 def cell_pointers(sh: SharedArrays, cs: CellState) -> List[int]:

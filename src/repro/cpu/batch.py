@@ -10,8 +10,8 @@ this engine removes that cost by splitting a cell into
    once in trace order (their state evolution is position-ordered, not
    timing-ordered, so the replay is exact — see below), and
 2. a **cycle kernel** (:mod:`repro.cpu._batchkernel`) — pure integer
-   stepping over the profiles, run either as compiled C (default) or as
-   the bit-identical pure-Python reference.
+   stepping over the profiles, compiled from C at first use.  Its
+   reference is the inline simulator.
 
 Cells sharing a trace then advance together in lockstep rounds of a few
 thousand cycles each, and profiles are weakly memoized per trace so a
@@ -40,10 +40,11 @@ Why the replay is exact
 Fallbacks are per-cell and lossless: a cell the engine cannot vectorize
 (a load-observing prefetcher such as ``clpt``, a truncated
 ``max_cycles`` run, a cold-start run, an attached flight recorder, an
-L2-unsafe trace, or a kernel ring overflow) runs on the inline
-simulator with identical arguments.  Either way the returned
-``SimStats`` are bit-identical to the inline engine — the golden-stats
-suite and the ``--engine`` fuzz metamorphic enforce this.
+L2-unsafe trace, a kernel ring overflow, or a host where the C kernel
+cannot be compiled) runs on the inline simulator with identical
+arguments.  Either way the returned ``SimStats`` are bit-identical to
+the inline engine — the golden-stats suite and the ``--engine`` fuzz
+metamorphic enforce this.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class _MemoryProfile:
 _profiles: "weakref.WeakKeyDictionary[Trace, Dict[Any, Any]]" = \
     weakref.WeakKeyDictionary()
 
-#: trace -> flavour-independent derived arrays (CSR dependence maps,
-#: packed entry flags, d-cache address splits) + cached numpy views
+#: trace -> derived arrays (CSR dependence maps, packed entry flags,
+#: d-cache address splits) + cached numpy views
 _derived: "weakref.WeakKeyDictionary[Trace, Dict[Any, Any]]" = \
     weakref.WeakKeyDictionary()
 
@@ -411,8 +412,8 @@ def _memory_profile(trace: Trace, tables, config, crit: bytearray,
 
 
 def _trace_derived(trace: Trace, tables) -> Dict[str, Any]:
-    """Flavour-independent per-trace arrays: CSR dependence maps, packed
-    entry flags, and the trace's max base latency (wheel sizing)."""
+    """Per-trace arrays: CSR dependence maps, packed entry flags, and
+    the trace's max base latency (wheel sizing)."""
     cache = _derived_cache(trace)
     rec = cache.get("base")
     if rec is not None:
@@ -512,13 +513,11 @@ def _np_u8(np, values, cache: Dict[str, Any], key: str):
 
 
 def _make_shared(np, trace: Trace, tables, config, bp: _BranchProfile,
-                 mp: _MemoryProfile, crit: bytearray,
-                 crit_np) -> bk.SharedArrays:
-    """Assemble one cell class's read-only arrays.
+                 mp: _MemoryProfile, crit_np) -> bk.SharedArrays:
+    """Assemble one cell class's read-only numpy arrays.
 
-    ``np`` is the numpy module for the C kernel or ``None`` for the
-    Python reference kernel; heavyweight n-sized arrays are cached per
-    trace (and per profile) so cells of the same class share them.
+    Heavyweight n-sized arrays are cached per trace (and per profile) so
+    cells of the same class share them.
     """
     derived = _trace_derived(trace, tables)
     dc_sets = mp.dc_snapshot[0]
@@ -526,24 +525,6 @@ def _make_shared(np, trace: Trace, tables, config, bp: _BranchProfile,
                                dc_sets)
     sh = bk.SharedArrays()
     sh.n = len(trace.entries)
-    if np is None:
-        sh.sizes = tables.sizes
-        sh.lats = tables.lats
-        sh.fus = tables.fus
-        sh.flags = derived["flags"]
-        sh.bact = bp.bact
-        sh.crit = crit
-        sh.iev = mp.iev
-        sh.ev_kind = mp.ev_kind
-        sh.ev_lat = mp.ev_lat
-        sh.ev_creator = mp.ev_creator
-        sh.prod_ptr = derived["prod_ptr"]
-        sh.prod_idx = derived["prod_idx"]
-        sh.cons_ptr = derived["cons_ptr"]
-        sh.cons_idx = derived["cons_idx"]
-        sh.d_set = d_set
-        sh.d_tag = d_tag
-        return sh
     cache = _derived_cache(trace)
     npc = cache.setdefault("np", {})
     sh.sizes = _np_i32(np, tables.sizes, npc, "sizes")
@@ -568,10 +549,6 @@ def _make_shared(np, trace: Trace, tables, config, bp: _BranchProfile,
 
 
 # -- stats assembly ------------------------------------------------------------
-
-
-def _as_list(arr) -> List[int]:
-    return arr.tolist() if hasattr(arr, "tolist") else list(arr)
 
 
 def _finalize_cell(np, trace: Trace, config, cell: bk.CellState,
@@ -608,12 +585,12 @@ def _finalize_cell(np, trace: Trace, config, cell: bk.CellState,
     fcrit.stall_switch = g(bk.R_FC_SWITCH)
     fcrit.stall_backpressure = g(bk.R_FC_BP)
 
-    head = np.asarray(cell.head_c, dtype=np.int64)
-    dec = np.asarray(cell.decode_c, dtype=np.int64)
-    dsp = np.asarray(cell.dispatch_c, dtype=np.int64)
-    iss = np.asarray(cell.issue_c, dtype=np.int64)
-    cmp_c = np.asarray(cell.complete_c, dtype=np.int64)
-    cmt = np.asarray(cell.commit_c, dtype=np.int64)
+    head = cell.head_c
+    dec = cell.decode_c
+    dsp = cell.dispatch_c
+    iss = cell.issue_c
+    cmp_c = cell.complete_c
+    cmt = cell.commit_c
     iw = iss - dsp
     stage_cols = (
         np.maximum(dec - head, 0),
@@ -664,13 +641,13 @@ def _finalize_cell(np, trace: Trace, config, cell: bk.CellState,
             config_name=config.name,
             stats=stats,
             n=n,
-            head=_as_list(cell.head_c),
-            fetch=_as_list(cell.fetch_c),
-            decode=_as_list(cell.decode_c),
-            dispatch=_as_list(cell.dispatch_c),
-            issue=_as_list(cell.issue_c),
-            complete=_as_list(cell.complete_c),
-            commit=_as_list(cell.commit_c),
+            head=cell.head_c.tolist(),
+            fetch=cell.fetch_c.tolist(),
+            decode=cell.decode_c.tolist(),
+            dispatch=cell.dispatch_c.tolist(),
+            issue=cell.issue_c.tolist(),
+            complete=cell.complete_c.tolist(),
+            commit=cell.commit_c.tolist(),
         )
     return stats
 
@@ -759,7 +736,8 @@ def simulate_batch(
             or os.environ.get("REPRO_FLIGHT_RECORDER", ""):
         global_reason = "flight-recorder"
     else:
-        global_reason = None
+        cfn = bk.get_kernel()
+        global_reason = "no C kernel" if cfn is None else None
 
     plans = [_CellPlan(i, config) for i, config in enumerate(configs)]
     for plan in plans:
@@ -785,17 +763,15 @@ def simulate_batch(
     active_cell_rounds = 0
     with telemetry.span("simulate.batch", width=len(plans)) as span:
         if fast:
-            kernel_name, cfn = bk.get_kernel()
-            npmod = np if kernel_name == "c" else None
-            crit_np = np.frombuffer(bytes(crit), dtype=np.uint8) \
-                if npmod is not None else None
+            kernel_name = "c"
+            crit_np = np.frombuffer(bytes(crit), dtype=np.uint8)
             shared_cache: Dict[Any, Any] = {}
             for plan in fast:
                 skey = (id(plan.bp), id(plan.mp))
                 sh = shared_cache.get(skey)
                 if sh is None:
-                    sh = _make_shared(npmod, trace, tables, plan.config,
-                                      plan.bp, plan.mp, crit, crit_np)
+                    sh = _make_shared(np, trace, tables, plan.config,
+                                      plan.bp, plan.mp, crit_np)
                     shared_cache[skey] = sh
                 plan.shared = sh
                 mc = plan.config.memory
@@ -803,7 +779,7 @@ def simulate_batch(
                                   mc.dcache_hit + mc.l2_hit, 1)
                 plan.cell = bk.make_cell(sh, plan.mp.n_events, plan.config,
                                          plan.mp.dc_snapshot, max_latency,
-                                         np=npmod)
+                                         np)
 
             running = list(fast)
             while running:
@@ -812,12 +788,8 @@ def simulate_batch(
                 active_cell_rounds += len(running)
                 still = []
                 for plan in running:
-                    if kernel_name == "c":
-                        status = bk.advance_cell_c(
-                            cfn, plan.shared, plan.cell, horizon)
-                    else:
-                        status = bk.advance_cell(
-                            plan.shared, plan.cell, horizon)
+                    status = bk.advance_cell_c(
+                        cfn, plan.shared, plan.cell, horizon)
                     if status == 1:
                         still.append(plan)
                     else:
@@ -865,9 +837,6 @@ def simulate_batch(
                 )
                 results[plan.index] = sim.run(max_cycles=max_cycles)
 
-    telemetry.count("simulate.batch.cells", len(plans))
-    telemetry.count("simulate.batch.fallback_cells",
-                    sum(1 for p in plans if p.reason is not None))
     telemetry.count("simulate.batch.instructions",
                     sum(r.instructions for r in results))
     fast_cells = sum(1 for p in plans if p.reason is None)

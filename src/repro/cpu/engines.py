@@ -15,7 +15,7 @@ numbers are computed:
     The lockstep many-cells-per-trace engine (:mod:`repro.cpu.batch`).
     Requires numpy; precomputes branch/memory profiles and steps the
     cycle loop in a compiled kernel, falling back per-cell to ``inline``
-    whenever a cell is not vectorizable.
+    whenever a cell is not vectorizable or no C compiler is available.
 
 Selection, in precedence order: the ``simulate(..., engine=)`` kwarg,
 the ``REPRO_SIM_ENGINE`` environment variable, else ``inline``.

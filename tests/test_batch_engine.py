@@ -15,6 +15,7 @@ import pytest
 
 from repro import telemetry
 from repro.cache import reset_cache
+from repro.cpu import _batchkernel as bk
 from repro.cpu import batch as batch_mod
 from repro.cpu import pipeline
 from repro.cpu.batch import last_batch_report, simulate_batch
@@ -75,22 +76,35 @@ class TestBitIdentity:
         assert report["fast"] == len(configs)
         assert report["fallbacks"] == []
 
-    def test_python_kernel_matches_selected_kernel(self, monkeypatch):
+    def test_no_compiler_runs_every_cell_inline(self, tmp_path,
+                                                monkeypatch):
+        """A host without a C compiler degrades to inline, names the
+        reason per cell, and builds no profiles."""
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_BATCH_KERNEL_DIR", str(tmp_path))
+        monkeypatch.setattr(bk, "_ckernel", False)
         trace = _fresh_trace()
         configs = [GOOGLE_TABLET, config_efetch()]
-        default = [s.to_dict() for s in simulate_batch(trace, configs)]
-        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "py")
-        forced = simulate_batch(trace, configs)
-        assert last_batch_report()["kernel"] == "py"
-        assert [s.to_dict() for s in forced] == default
+        stats = simulate_batch(trace, configs)
+        for config, cell in zip(configs, stats):
+            assert cell.to_dict() == _inline(trace, config).to_dict(), \
+                config.name
+        report = last_batch_report()
+        assert [reason for _, reason in report["fallbacks"]] == \
+            ["no C kernel"] * len(configs)
+        assert report["kernel"] == "none"
+        assert trace not in batch_mod._profiles
 
     def test_batch_counts_telemetry(self):
         trace = _fresh_trace()
         telemetry.reset()
         stats = simulate_batch(trace, [GOOGLE_TABLET, config_efetch()])
-        counts = telemetry.counters()
-        assert counts["simulate.batch.cells"] == 2
-        assert counts["simulate.batch.instructions"] == \
+        registry = telemetry.metrics.REGISTRY
+        fast = registry.value("repro_batch_cells_total", path="fast") or 0
+        fallback = registry.value("repro_batch_cells_total",
+                                  path="fallback") or 0
+        assert fast + fallback == 2
+        assert telemetry.counters()["simulate.batch.instructions"] == \
             sum(s.instructions for s in stats)
 
 
