@@ -9,6 +9,20 @@
  * bit-identical SimStats.  Without a compiler the batch engine runs
  * every cell inline instead.
  *
+ * Memory model.  The d-cache is simulated here in full (runtime-ordered
+ * LRU).  Of the shared L2, only the over-subscribed sets -- those that
+ * receive more distinct lines than ways -- are simulated, from their
+ * post-warm LRU images, together with the DRAM open-row table behind
+ * them; every other set never evicts, so its accesses always hit.  The
+ * access table (acc_slot/acc_tag/acc_row) lists the accesses to those
+ * sets: first the i-side operations in position order (iop_pos/iop_call
+ * say where each runs), then the d-side ones (d_l2 maps a position to
+ * its entry).  As inline, d-side accesses happen at issue and i-side
+ * ones at fetch, issue first within a cycle: an event of kind 2 is a
+ * demand lookup, made when fetch consumes the event, followed by the
+ * fetch-observer fills of that line; call-observer fills follow the
+ * fetch of their call.
+ *
  * Return codes: 0 done, 1 horizon reached, 2 deadlock, 3 ring overflow.
  */
 
@@ -81,6 +95,13 @@
 #define R_DQ_MASK 65
 #define R_PEND_MASK 66
 #define R_WHEEL_MASK 67
+#define R_NEXT_IOP 68
+#define R_L2_MISS 69
+#define R_DRAM_READS 70
+#define R_L2_ASSOC 71
+#define R_DRAM_BANKS 72
+#define R_DRAM_ROW_HIT 73
+#define R_DRAM_ROW_MISS 74
 
 #define FLAG_LOAD 1
 #define FLAG_STORE 2
@@ -93,6 +114,103 @@ typedef long long i64;
 typedef int i32;
 typedef unsigned char u8;
 
+/* Memory-side state of one cell: the d-cache, the over-subscribed L2
+ * sets, the DRAM open-row table, and their counters. */
+typedef struct {
+    const i32 *d_set;
+    const i64 *d_tag;
+    const i32 *d_l2;
+    const i32 *acc_slot;
+    const i64 *acc_tag;
+    const i64 *acc_row;
+    i64 *dc_tags;
+    i32 *dc_occ;
+    i64 *l2_tags;
+    i32 *l2_occ;
+    i64 *dram_rows;
+    i64 dc_assoc, l2_assoc, dcache_hit, l2_hit;
+    i64 dram_banks, dram_row_hit, dram_row_miss;
+    i64 dc_acc, dc_miss, l2d_acc, l2_miss, dram_reads;
+} Mem;
+
+/* One access to an LRU set of `assoc` ways (MRU first); LruPolicy's
+ * access and fill share these recency mechanics.  Returns 1 on a hit. */
+static inline int lru_touch(i64 *tags, i32 *occ, i64 set, i64 assoc,
+                            i64 tag)
+{
+    i64 base = set * assoc;
+    i64 used = occ[set];
+    i64 way = -1, end, w;
+    for (w = 0; w < used; w++) {
+        if (tags[base + w] == tag) { way = w; break; }
+    }
+    if (way >= 0) {
+        end = way;
+    } else if (used < assoc) {
+        occ[set] = (i32)(used + 1);
+        end = used;
+    } else {
+        end = assoc - 1;
+    }
+    for (w = end; w > 0; w--) tags[base + w] = tags[base + w - 1];
+    tags[base] = tag;
+    return way >= 0;
+}
+
+/* The L2 helpers run only on accesses to over-subscribed sets, so they
+ * stay out of line: inlining them buys no speed and costs compile time. */
+#define COLD __attribute__((noinline))
+
+/* Prefetch fill of access-table entry k into its over-subscribed set. */
+static COLD void l2_fill(Mem *m, i64 k)
+{
+    lru_touch(m->l2_tags, m->l2_occ, m->acc_slot[k], m->l2_assoc,
+              m->acc_tag[k]);
+}
+
+/* Demand lookup of access-table entry k (Cache.lookup); a miss reads
+ * DRAM (Dram.access) unless `reads` is 0 (MemorySystem.store).  Returns
+ * the DRAM latency, 0 on a hit. */
+static COLD i64 l2_demand(Mem *m, i64 k, int reads)
+{
+    i64 row, bank;
+    if (lru_touch(m->l2_tags, m->l2_occ, m->acc_slot[k], m->l2_assoc,
+                  m->acc_tag[k]))
+        return 0;
+    m->l2_miss += 1;
+    if (!reads) return 0;
+    m->dram_reads += 1;
+    row = m->acc_row[k];
+    bank = row % m->dram_banks;
+    if (m->dram_rows[bank] == row) return m->dram_row_hit;
+    m->dram_rows[bank] = row;
+    return m->dram_row_miss;
+}
+
+/* Execute latency of the instruction at `pos` issuing now, including
+ * its data access (MemorySystem.load / .store). */
+static inline i64 exec_latency(Mem *m, i64 pos, i64 latency, i64 flag)
+{
+    if (flag & (FLAG_LOAD | FLAG_STORE)) {
+        i64 tag = m->d_tag[pos];
+        if (tag >= 0) {
+            i64 mlat = m->dcache_hit;
+            m->dc_acc += 1;
+            if (!lru_touch(m->dc_tags, m->dc_occ, m->d_set[pos],
+                           m->dc_assoc, tag)) {
+                i64 k = m->d_l2[pos];
+                i64 dram = 0;
+                m->dc_miss += 1;
+                m->l2d_acc += 1;
+                if (k >= 0) dram = l2_demand(m, k, flag & FLAG_LOAD);
+                if (flag & FLAG_LOAD) mlat += m->l2_hit + dram;
+            }
+            if (mlat > latency) latency = mlat;
+        }
+    }
+    return latency < 1 ? 1 : latency;
+}
+
 i64 repro_batch_advance(
     i64 n, i64 max_now,
     /* shared (read-only) */
@@ -103,13 +221,16 @@ i64 repro_batch_advance(
     const i32 *prod_ptr, const i32 *prod_idx,
     const i32 *cons_ptr, const i32 *cons_idx,
     const i32 *d_set, const i64 *d_tag,
+    const i32 *d_l2, const i32 *iop_pos, const u8 *iop_call,
+    const i32 *acc_slot, const i64 *acc_tag, const i64 *acc_row,
     /* cell (mutable) */
     i64 *regs, i64 *head_c, i64 *fetch_c, i64 *decode_c, i64 *dispatch_c,
     i64 *issue_c, i64 *complete_c, i64 *commit_c,
     u8 *completed, u8 *dispatched, i32 *remaining,
     i32 *rob, i32 *fq, i32 *dq, i32 *pending, i32 *ready, i32 *readyc,
     i32 *wheel_head, i32 *wheel_tail, i32 *next_comp, i64 *ev_time,
-    i64 *dc_tags, i32 *dc_occ, i32 *window)
+    i64 *dc_tags, i32 *dc_occ, i32 *window,
+    i64 *l2_tags, i32 *l2_occ, i64 *dram_rows)
 {
     i64 now = regs[R_NOW];
     i64 committed = regs[R_COMMITTED];
@@ -132,6 +253,8 @@ i64 repro_batch_advance(
     i64 in_flight = regs[R_INFLIGHT];
     i64 wd_committed = regs[R_WD_COMMITTED];
     i64 wd_fetch_pos = regs[R_WD_FETCH_POS];
+    i64 next_iop = regs[R_NEXT_IOP];
+    Mem mem;
 
     i64 f_active = regs[R_F_ACTIVE];
     i64 f_icache = regs[R_F_ICACHE];
@@ -148,9 +271,6 @@ i64 repro_batch_advance(
     i64 iq_full = regs[R_IQ_FULL];
     i64 rob_occ_sum = regs[R_ROB_OCC_SUM];
     i64 cdp_decoded = regs[R_CDP_DECODED];
-    i64 dc_acc = regs[R_DC_ACC];
-    i64 dc_miss = regs[R_DC_MISS];
-    i64 l2d_acc = regs[R_L2D_ACC];
 
     const i64 commit_w = regs[R_COMMIT_W];
     const i64 rename_w = regs[R_RENAME_W];
@@ -169,8 +289,6 @@ i64 repro_batch_advance(
     i64 fu_base[5];
     const i64 icache_hit = regs[R_ICACHE_HIT];
     const i64 l2_hit = regs[R_L2_HIT];
-    const i64 dcache_hit = regs[R_DCACHE_HIT];
-    const i64 dc_assoc = regs[R_DC_ASSOC];
     const i64 rob_mask = regs[R_ROB_MASK];
     const i64 fq_mask = regs[R_FQ_MASK];
     const i64 dq_mask = regs[R_DQ_MASK];
@@ -184,6 +302,30 @@ i64 repro_batch_advance(
     fu_base[2] = regs[R_FU_FP];
     fu_base[3] = regs[R_FU_MEM];
     fu_base[4] = regs[R_FU_BRANCH];
+
+    mem.d_set = d_set;
+    mem.d_tag = d_tag;
+    mem.d_l2 = d_l2;
+    mem.acc_slot = acc_slot;
+    mem.acc_tag = acc_tag;
+    mem.acc_row = acc_row;
+    mem.dc_tags = dc_tags;
+    mem.dc_occ = dc_occ;
+    mem.l2_tags = l2_tags;
+    mem.l2_occ = l2_occ;
+    mem.dram_rows = dram_rows;
+    mem.dc_assoc = regs[R_DC_ASSOC];
+    mem.l2_assoc = regs[R_L2_ASSOC];
+    mem.dcache_hit = regs[R_DCACHE_HIT];
+    mem.l2_hit = l2_hit;
+    mem.dram_banks = regs[R_DRAM_BANKS];
+    mem.dram_row_hit = regs[R_DRAM_ROW_HIT];
+    mem.dram_row_miss = regs[R_DRAM_ROW_MISS];
+    mem.dc_acc = regs[R_DC_ACC];
+    mem.dc_miss = regs[R_DC_MISS];
+    mem.l2d_acc = regs[R_L2D_ACC];
+    mem.l2_miss = regs[R_L2_MISS];
+    mem.dram_reads = regs[R_DRAM_READS];
 
     for (;;) {
         if (committed >= n) { status = 0; break; }
@@ -265,8 +407,7 @@ i64 repro_batch_advance(
             }
             for (i = 0; i < wn; i++) {
                 i64 pos = window[i];
-                i64 latency, t, slot2, tail;
-                i64 flag;
+                i64 t, slot2, tail;
                 if (slots == 0) break;
                 if (remaining[pos] != 0) continue;
                 if (caps[fus[pos]] <= 0) continue;
@@ -274,44 +415,7 @@ i64 repro_batch_advance(
                 slots -= 1;
                 unissued -= 1;
                 issue_c[pos] = now;
-                latency = lats[pos];
-                flag = flags[pos];
-                if (flag & 3) {
-                    i64 tag = d_tag[pos];
-                    if (tag >= 0) {
-                        i64 base = (i64)d_set[pos] * dc_assoc;
-                        i64 occ = dc_occ[d_set[pos]];
-                        i64 way = -1, w, mlat;
-                        dc_acc += 1;
-                        for (w = 0; w < occ; w++) {
-                            if (dc_tags[base + w] == tag) { way = w; break; }
-                        }
-                        if (way >= 0) {
-                            for (w = way; w > 0; w--)
-                                dc_tags[base + w] = dc_tags[base + w - 1];
-                            dc_tags[base] = tag;
-                            mlat = dcache_hit;
-                        } else {
-                            i64 end;
-                            dc_miss += 1;
-                            l2d_acc += 1;
-                            if (occ < dc_assoc) {
-                                dc_occ[d_set[pos]] = (i32)(occ + 1);
-                                end = occ;
-                            } else {
-                                end = dc_assoc - 1;
-                            }
-                            for (w = end; w > 0; w--)
-                                dc_tags[base + w] = dc_tags[base + w - 1];
-                            dc_tags[base] = tag;
-                            mlat = (flag & FLAG_LOAD)
-                                ? dcache_hit + l2_hit : dcache_hit;
-                        }
-                        if (mlat > latency) latency = mlat;
-                    }
-                }
-                if (latency < 1) latency = 1;
-                t = now + latency;
+                t = now + exec_latency(&mem, pos, lats[pos], flags[pos]);
                 slot2 = t & wheel_mask;
                 tail = wheel_tail[slot2];
                 if (tail) next_comp[tail - 1] = (i32)(pos + 1);
@@ -333,7 +437,7 @@ i64 repro_batch_advance(
                 if (!count) continue;
                 for (i = 0; i < count; i++) {
                     i64 pos = queue[i];
-                    i64 latency, t, slot2, tail, flag;
+                    i64 t, slot2, tail;
                     if (slots == 0 || caps[fus[pos]] <= 0) {
                         queue[kept++] = (i32)pos;
                         continue;
@@ -342,48 +446,8 @@ i64 repro_batch_advance(
                     slots -= 1;
                     unissued -= 1;
                     issue_c[pos] = now;
-                    latency = lats[pos];
-                    flag = flags[pos];
-                    if (flag & 3) {
-                        i64 tag = d_tag[pos];
-                        if (tag >= 0) {
-                            i64 base = (i64)d_set[pos] * dc_assoc;
-                            i64 occ = dc_occ[d_set[pos]];
-                            i64 way = -1, w, mlat;
-                            dc_acc += 1;
-                            for (w = 0; w < occ; w++) {
-                                if (dc_tags[base + w] == tag) {
-                                    way = w; break;
-                                }
-                            }
-                            if (way >= 0) {
-                                for (w = way; w > 0; w--)
-                                    dc_tags[base + w] =
-                                        dc_tags[base + w - 1];
-                                dc_tags[base] = tag;
-                                mlat = dcache_hit;
-                            } else {
-                                i64 end;
-                                dc_miss += 1;
-                                l2d_acc += 1;
-                                if (occ < dc_assoc) {
-                                    dc_occ[d_set[pos]] = (i32)(occ + 1);
-                                    end = occ;
-                                } else {
-                                    end = dc_assoc - 1;
-                                }
-                                for (w = end; w > 0; w--)
-                                    dc_tags[base + w] =
-                                        dc_tags[base + w - 1];
-                                dc_tags[base] = tag;
-                                mlat = (flag & FLAG_LOAD)
-                                    ? dcache_hit + l2_hit : dcache_hit;
-                            }
-                            if (mlat > latency) latency = mlat;
-                        }
-                    }
-                    if (latency < 1) latency = 1;
-                    t = now + latency;
+                    t = now + exec_latency(&mem, pos, lats[pos],
+                                           flags[pos]);
                     slot2 = t & wheel_mask;
                     tail = wheel_tail[slot2];
                     if (tail) next_comp[tail - 1] = (i32)(pos + 1);
@@ -499,14 +563,20 @@ i64 repro_batch_advance(
                         i64 latency;
                         ev_time[ev] = now;
                         next_ev = ev + 1;
-                        if (ev_kind[ev]) {
+                        if (ev_kind[ev] == 1) {
                             i64 residual = ev_time[ev_creator[ev]]
                                 + l2_hit - now;
                             if (residual < 0) residual = 0;
                             latency = icache_hit + residual;
                         } else {
                             latency = ev_lat[ev];
+                            if (ev_kind[ev] == 2)
+                                latency += l2_demand(&mem, next_iop++, 1);
                         }
+                        /* fetch-observer fills, right after the ifetch */
+                        while (iop_pos[next_iop] == fetch_pos
+                                && !iop_call[next_iop])
+                            l2_fill(&mem, next_iop++);
                         if (latency > icache_hit) {
                             icache_ready = now + latency;
                             break;
@@ -521,6 +591,9 @@ i64 repro_batch_advance(
                     fetched = 1;
                     pos = fetch_pos;
                     fetch_pos += 1;
+                    /* call-observer fills, once the call is fetched */
+                    while (iop_pos[next_iop] == pos)
+                        l2_fill(&mem, next_iop++);
                     action = bact[pos];
                     if (action) {
                         if (action == 1) break;
@@ -594,8 +667,11 @@ i64 repro_batch_advance(
     regs[R_IQ_FULL] = iq_full;
     regs[R_ROB_OCC_SUM] = rob_occ_sum;
     regs[R_CDP_DECODED] = cdp_decoded;
-    regs[R_DC_ACC] = dc_acc;
-    regs[R_DC_MISS] = dc_miss;
-    regs[R_L2D_ACC] = l2d_acc;
+    regs[R_NEXT_IOP] = next_iop;
+    regs[R_DC_ACC] = mem.dc_acc;
+    regs[R_DC_MISS] = mem.dc_miss;
+    regs[R_L2D_ACC] = mem.l2d_acc;
+    regs[R_L2_MISS] = mem.l2_miss;
+    regs[R_DRAM_READS] = mem.dram_reads;
     return status;
 }

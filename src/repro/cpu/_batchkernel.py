@@ -3,8 +3,9 @@
 The batch engine (:mod:`repro.cpu.batch`) precomputes everything the
 inline :class:`repro.cpu.pipeline.Simulator` derives from the memory
 system and branch predictor into flat *profiles* (branch actions, i-side
-fetch events, a warmed d-cache image), which reduces one grid cell's
-cycle loop to pure integer state-machine stepping over those arrays.
+fetch events, warmed images of the d-cache and of the over-subscribed
+L2 sets), which reduces one grid cell's cycle loop to pure integer
+state-machine stepping over those arrays.
 That stepper is a small C translation of the inline simulator's
 ``run()`` loop (``_batchkernel.c``), compiled on first use with the
 system C compiler into a per-user cache directory and loaded via
@@ -39,7 +40,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 # -- register layout -----------------------------------------------------------
 # One int64 vector per cell holds every scalar the cycle loop mutates
@@ -119,8 +120,16 @@ R_FQ_MASK = 64
 R_DQ_MASK = 65
 R_PEND_MASK = 66
 R_WHEEL_MASK = 67
+# over-subscribed L2 sets and DRAM: state, counters, constants
+R_NEXT_IOP = 68
+R_L2_MISS = 69
+R_DRAM_READS = 70
+R_L2_ASSOC = 71
+R_DRAM_BANKS = 72
+R_DRAM_ROW_HIT = 73
+R_DRAM_ROW_MISS = 74
 
-R_COUNT = 68
+R_COUNT = 75
 
 #: entry flag bits (packed from the trace tables' isld/isst/iscdp)
 FLAG_LOAD = 1
@@ -145,6 +154,7 @@ class SharedArrays:
         "iev", "ev_kind", "ev_lat", "ev_creator",
         "prod_ptr", "prod_idx", "cons_ptr", "cons_idx",
         "d_set", "d_tag",
+        "d_l2", "iop_pos", "iop_call", "acc_slot", "acc_tag", "acc_row",
     )
 
 
@@ -158,20 +168,25 @@ class CellState:
         "rob", "fq", "dq", "pending", "ready", "readyc",
         "wheel_head", "wheel_tail", "next_comp", "ev_time",
         "dc_tags", "dc_occ", "window",
+        "l2_tags", "l2_occ", "dram_rows",
         "shared", "index", "cptrs",
     )
 
 
-def make_cell(shared: SharedArrays, n_events: int, config: Any,
-              dc_snapshot: Tuple[int, int, List[int], List[int]],
+def make_cell(shared: SharedArrays, profile: Any, config: Any,
               max_latency: int, np: Any) -> CellState:
     """Build the initial :class:`CellState` for one config.
 
-    ``np`` is the numpy module.  ``dc_snapshot`` is the warmed d-cache
-    image ``(num_sets, assoc, occupancy, flat MRU tags)``.
+    ``np`` is the numpy module.  ``profile`` is the cell's memory
+    profile: its ``dc_snapshot`` and ``l2_snapshot`` are the post-warm
+    images ``(num_sets, assoc, occupancy, flat MRU tags)`` of the
+    d-cache and of the over-subscribed L2 sets, and ``dram`` is
+    ``(banks, row-hit latency, row-miss latency)``.
     """
     n = shared.n
-    dc_sets, dc_assoc, dc_occ_img, dc_tags_img = dc_snapshot
+    dc_sets, dc_assoc, dc_occ_img, dc_tags_img = profile.dc_snapshot
+    _, l2_assoc, l2_occ_img, l2_tags_img = profile.l2_snapshot
+    dram_banks, dram_row_hit, dram_row_miss = profile.dram
 
     rob_cap = pow2ceil(4 * config.rob_entries + 256)
     fq_cap_ring = pow2ceil(config.fetch_queue_entries)
@@ -217,9 +232,10 @@ def make_cell(shared: SharedArrays, n_events: int, config: Any,
     regs[R_DQ_MASK] = dq_cap - 1
     regs[R_PEND_MASK] = rob_cap - 1
     regs[R_WHEEL_MASK] = wheel_cap - 1
-
-    dc_flat = list(dc_tags_img)
-    dc_flat += [0] * (dc_sets * dc_assoc - len(dc_flat))
+    regs[R_L2_ASSOC] = l2_assoc
+    regs[R_DRAM_BANKS] = dram_banks
+    regs[R_DRAM_ROW_HIT] = dram_row_hit
+    regs[R_DRAM_ROW_MISS] = dram_row_miss
 
     cs.regs = np.array(regs, dtype=np.int64)
     for name in ("head_c", "fetch_c", "decode_c", "dispatch_c",
@@ -237,10 +253,15 @@ def make_cell(shared: SharedArrays, n_events: int, config: Any,
     cs.wheel_head = np.zeros(wheel_cap, dtype=np.int32)
     cs.wheel_tail = np.zeros(wheel_cap, dtype=np.int32)
     cs.next_comp = np.zeros(n, dtype=np.int32)
-    cs.ev_time = np.zeros(max(n_events, 1), dtype=np.int64)
-    cs.dc_tags = np.array(dc_flat, dtype=np.int64)
+    cs.ev_time = np.zeros(max(profile.n_events, 1), dtype=np.int64)
+    cs.dc_tags = np.array(dc_tags_img, dtype=np.int64)
     cs.dc_occ = np.array(dc_occ_img, dtype=np.int32)
     cs.window = np.zeros(win_cap, dtype=np.int32)
+    # (padded to one entry: the kernel takes a pointer even when no L2
+    # set is over-subscribed)
+    cs.l2_tags = np.array(l2_tags_img or [0], dtype=np.int64)
+    cs.l2_occ = np.array(l2_occ_img or [0], dtype=np.int32)
+    cs.dram_rows = np.full(dram_banks, -1, dtype=np.int64)
     return cs
 
 
@@ -253,16 +274,17 @@ _PTR_FIELDS = (
     "sizes", "lats", "fus", "flags", "bact", "crit",
     "iev", "ev_kind", "ev_lat", "ev_creator",
     "prod_ptr", "prod_idx", "cons_ptr", "cons_idx", "d_set", "d_tag",
+    "d_l2", "iop_pos", "iop_call", "acc_slot", "acc_tag", "acc_row",
     # cell
     "regs", "head_c", "fetch_c", "decode_c", "dispatch_c", "issue_c",
     "complete_c", "commit_c", "completed", "dispatched", "remaining",
     "rob", "fq", "dq", "pending", "ready", "readyc",
     "wheel_head", "wheel_tail", "next_comp", "ev_time",
-    "dc_tags", "dc_occ", "window",
+    "dc_tags", "dc_occ", "window", "l2_tags", "l2_occ", "dram_rows",
 )
 
-_SHARED_FIELDS = _PTR_FIELDS[:16]
-_CELL_FIELDS = _PTR_FIELDS[16:]
+_SHARED_FIELDS = _PTR_FIELDS[:_PTR_FIELDS.index("regs")]
+_CELL_FIELDS = _PTR_FIELDS[len(_SHARED_FIELDS):]
 
 _ckernel: Any = False  # tri-state: False = not probed, None = unavailable
 

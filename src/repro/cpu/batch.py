@@ -32,16 +32,20 @@ Why the replay is exact
   the kernel (runtime-ordered LRU, same mechanics as
   :class:`repro.memory.replacement.LruPolicy`).
 * The shared L2 is the only coupling between the i-side replay and the
-  d-side runtime.  The engine proves per trace x config that no L2 set
-  ever holds more distinct lines than its associativity (warm fills plus
-  every replay fill), in which case no L2 access can miss and the L2 is
-  order-independent; otherwise the cell **falls back to inline**.
+  d-side runtime, and it never feeds back into the replay: L2 contents
+  change latency only.  An L2 set that receives no more distinct lines
+  (warm fills, i-side operations, d-side addresses) than its
+  associativity never evicts, so every access to it hits, in any order.
+  The remaining, *over-subscribed* sets are simulated inside the kernel
+  from their exact post-warm LRU images, in runtime order (d-side
+  accesses at issue, then i-side ones at fetch, as inline), together
+  with the DRAM open-row table their misses read.
 
 Fallbacks are per-cell and lossless: a cell the engine cannot vectorize
 (a load-observing prefetcher such as ``clpt``, a truncated
-``max_cycles`` run, a cold-start run, an attached flight recorder, an
-L2-unsafe trace, a kernel ring overflow, or a host where the C kernel
-cannot be compiled) runs on the inline simulator with identical
+``max_cycles`` run, a cold-start run, an attached flight recorder, a
+kernel deadlock or ring overflow, or a host where the C kernel cannot
+be compiled) runs on the inline simulator with identical
 arguments.  Either way the returned ``SimStats`` are bit-identical to
 the inline engine — the golden-stats suite and the ``--engine`` fuzz
 metamorphic enforce this.
@@ -52,6 +56,8 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import astuple
+from collections import Counter
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
@@ -103,34 +109,28 @@ class _BranchProfile:
     """Per-position fetch actions + total mispredicts for one predictor
     configuration over one trace."""
 
-    __slots__ = ("bact", "mispredicts", "np_cache")
-
-    def __init__(self) -> None:
-        self.np_cache: Dict[str, Any] = {}
+    __slots__ = ("bact", "mispredicts")
 
 
 class _MemoryProfile:
-    """I-side event stream + warmed d-cache image for one memory
-    configuration over one trace (``unsafe`` names the reason when the
-    L2-safety precondition fails and the cell must run inline)."""
+    """I-side event stream, warmed d-cache image, and the over-subscribed
+    L2 sets' model for one memory configuration over one trace."""
 
     __slots__ = (
         "iev", "ev_kind", "ev_lat", "ev_creator", "n_events",
         "icache_accesses", "icache_misses", "l2_accesses",
-        "dc_snapshot", "prefetch_issued", "unsafe", "np_cache",
+        "dc_snapshot", "l2_snapshot", "dram", "d_l2",
+        "iop_pos", "iop_call", "acc_slot", "acc_tag", "acc_row",
+        "prefetch_issued",
     )
-
-    def __init__(self) -> None:
-        self.unsafe: Optional[str] = None
-        self.np_cache: Dict[str, Any] = {}
 
 
 #: trace -> {profile key: profile} (weak, like the trace tables)
 _profiles: "weakref.WeakKeyDictionary[Trace, Dict[Any, Any]]" = \
     weakref.WeakKeyDictionary()
 
-#: trace -> derived arrays (CSR dependence maps, packed entry flags,
-#: d-cache address splits) + cached numpy views
+#: trace -> derived numpy arrays (entry tables, CSR dependence maps,
+#: packed entry flags, d-cache address splits)
 _derived: "weakref.WeakKeyDictionary[Trace, Dict[Any, Any]]" = \
     weakref.WeakKeyDictionary()
 
@@ -220,52 +220,37 @@ def _branch_profile(trace: Trace, tables, config) -> _BranchProfile:
     return profile
 
 
-def _build_memory_profile(trace: Trace, tables, config,
+def _build_memory_profile(np, trace: Trace, tables, config,
                           crit: bytearray) -> _MemoryProfile:
     """Replay warmup + the i-side of the memory system in trace order.
 
     Produces the fetch-event stream (one event per i-line transition of
     the fetch stream, exactly as ``MemorySystem.ifetch`` would see it),
-    the post-warm d-cache image, and the L2-safety verdict.
+    the post-warm d-cache image, and the kernel's model of the
+    over-subscribed L2 sets: their post-warm LRU images, the i-side L2
+    operations that touch them (in position order), and the d-side
+    accesses that map to them.
+
+    The i-side replay never consults the L2 (L2 contents change only
+    latency), so it runs to the end with the L2 left at its post-warm
+    image and merely records every i-side L2 operation: the demand
+    lookup of an i-miss with no in-flight prefetch, and each
+    ``prefetch_instruction_line`` fill.  A set is over-subscribed when
+    it receives more distinct lines (warm fills, recorded i-side
+    operations, d-side addresses) than it has ways; every other set
+    never evicts, so all its accesses hit.
     """
+    from repro.memory.dram import Dram
     from repro.memory.hierarchy import MemorySystem
 
     mc = config.memory
     ms = MemorySystem(mc)
+    ms.warm(trace)
     icache = ms.icache
     l2 = ms.l2
-    dcache = ms.dcache
     line_bytes = mc.line_bytes
     num_l2_sets = l2.num_sets
     l2_assoc = l2.assoc
-
-    # Distinct-lines-per-L2-set tracking: eviction happens iff a set ever
-    # sees more distinct lines than ways, which is order-independent — so
-    # sets of tags decide safety regardless of interleaving.
-    l2_seen: Dict[int, Set[int]] = {}
-
-    def track(addr: int) -> None:
-        line = addr // line_bytes
-        s = line % num_l2_sets
-        tags = l2_seen.get(s)
-        if tags is None:
-            tags = l2_seen[s] = set()
-        tags.add(line // num_l2_sets)
-
-    # warmup: mirror of MemorySystem.warm, with L2-set tracking
-    last_iline = -1
-    for entry in trace:
-        iline = entry.pc // line_bytes
-        if iline != last_iline:
-            addr = iline * line_bytes
-            l2.fill(addr)
-            icache.fill(addr)
-            track(addr)
-            last_iline = iline
-        if entry.mem_addr is not None:
-            l2.fill(entry.mem_addr)
-            dcache.fill(entry.mem_addr)
-            track(entry.mem_addr)
 
     prefetchers = tuple(
         PREFETCHERS.create(name, config)
@@ -283,6 +268,9 @@ def _build_memory_profile(trace: Trace, tables, config,
     ev_kind = bytearray()
     ev_lat: List[int] = []
     ev_creator: List[int] = []
+    #: i-side L2 operations in position order: (pos, at_call, line, addr,
+    #: event) — ``event`` is the demand lookup's event index, -1 for fills
+    iops: List[Tuple[int, int, int, int, int]] = []
     #: line -> creator event index (mirror of ``_inflight_ilines``, whose
     #: state evolution depends only on membership, never on the stored
     #: ready times — those are reconstructed at run time as
@@ -293,8 +281,7 @@ def _build_memory_profile(trace: Trace, tables, config,
     l2_hit = mc.l2_hit
     probe = icache.probe
     ilookup = icache.lookup
-    l2lookup = l2.lookup
-    unsafe: Optional[str] = None
+    ifill = icache.fill
     last_line = -1
 
     for pos in range(n):
@@ -321,63 +308,118 @@ def _build_memory_profile(trace: Trace, tables, config,
                     ev_lat.append(0)
                     ev_creator.append(creator)
                 else:
-                    track(pc)
-                    if l2lookup(pc):
-                        ev_kind.append(0)
-                        ev_lat.append(icache_hit + l2_hit)
-                        ev_creator.append(0)
-                    else:
-                        unsafe = "i-side L2 miss"
-                        break
+                    iops.append((pos, 0, line, pc, ev))
+                    ev_kind.append(0)
+                    ev_lat.append(icache_hit + l2_hit)
+                    ev_creator.append(0)
             if fetch_pfs:
                 critical = bool(crit[pos])
                 for pf in fetch_pfs:
                     for ln in pf.observe_fetch(line, critical):
-                        addr = ln * line_bytes
-                        l2.fill(addr)
-                        icache.fill(addr)
-                        track(addr)
+                        ifill(ln * line_bytes)
+                        iops.append((pos, 0, ln, 0, -1))
         if call_pfs and brt[pos] == _BR_CALL and pos + 1 < n:
             target_line = pcs[pos + 1] // line_bytes
             for pf in call_pfs:
                 for ln in pf.observe_call(target_line):
-                    addr = ln * line_bytes
-                    l2.fill(addr)
-                    icache.fill(addr)
-                    track(addr)
+                    ifill(ln * line_bytes)
+                    iops.append((pos, 1, ln, 0, -1))
+
+    # Over-subscribed L2 sets: distinct lines beyond associativity.
+    lines = {pc // line_bytes for pc in pcs}
+    lines.update(addr // line_bytes for addr in tables.mems
+                 if addr is not None)
+    lines.update(op[2] for op in iops)
+    per_set = Counter(line % num_l2_sets for line in lines)
+    hot = sorted(s for s, count in per_set.items() if count > l2_assoc)
+    slot_of = {s: k for k, s in enumerate(hot)}
+
+    # The kernel's access table: the i-side operations on those sets
+    # first (entry k is operation k), then the d-side accesses to them.
+    row_bytes = Dram.ROW_BYTES
+    iop_pos: List[int] = []
+    iop_call = bytearray()
+    i_slot: List[int] = []
+    i_tag: List[int] = []
+    i_row: List[int] = []
+    l2_lookups = 0
+    for pos, at_call, line, addr, ev in iops:
+        if ev >= 0:
+            l2_lookups += 1
+        slot = slot_of.get(line % num_l2_sets)
+        if slot is None:
+            continue
+        if ev >= 0:
+            ev_kind[ev] = 2
+        iop_pos.append(pos)
+        iop_call.append(at_call)
+        i_slot.append(slot)
+        i_tag.append(line // num_l2_sets)
+        i_row.append(addr // row_bytes)
+    iop_pos.append(-1)  # sentinel: matches no position
+    iop_call.append(0)
+
+    derived = _trace_derived(np, trace, tables)
+    mem = derived["mem"]
+    d_line = mem // line_bytes
+    lut = np.full(num_l2_sets, -1, dtype=np.int32)
+    lut[hot] = np.arange(len(hot), dtype=np.int32)
+    d_slot = np.where(derived["touch"], lut[d_line % num_l2_sets], -1)
+    d_pos = np.flatnonzero(d_slot >= 0)
+    d_l2 = np.full(n, -1, dtype=np.int32)
+    d_l2[d_pos] = len(i_slot) + np.arange(len(d_pos), dtype=np.int32)
 
     profile = _MemoryProfile()
-    if unsafe is None:
-        for tags in l2_seen.values():
-            if len(tags) > l2_assoc:
-                unsafe = "L2 set conflict (lines exceed associativity)"
-                break
-    profile.unsafe = unsafe
-    if unsafe is not None:
-        return profile
-
-    profile.iev = iev
+    profile.iev = np.array(iev, dtype=np.int32)
     profile.ev_kind = ev_kind
-    profile.ev_lat = ev_lat
-    profile.ev_creator = ev_creator
+    profile.ev_lat = np.array(ev_lat, dtype=np.int32)
+    profile.ev_creator = np.array(ev_creator, dtype=np.int32)
     profile.n_events = len(ev_lat)
     profile.icache_accesses = icache.stats.accesses
     profile.icache_misses = icache.stats.misses
-    profile.l2_accesses = l2.stats.accesses
+    profile.l2_accesses = l2_lookups
     profile.prefetch_issued = tuple(
         (pf.name, pf.issued) for pf in prefetchers)
-
-    occ = [len(ways) for ways in dcache._sets]
-    flat = [0] * (dcache.num_sets * dcache.assoc)
-    for s, ways in enumerate(dcache._sets):
-        base = s * dcache.assoc
-        for w, tag in enumerate(ways):
-            flat[base + w] = tag
-    profile.dc_snapshot = (dcache.num_sets, dcache.assoc, occ, flat)
+    profile.dc_snapshot = _lru_image(ms.dcache, range(ms.dcache.num_sets))
+    # The replay never touched the L2, so it still holds the exact
+    # post-warm image (warm is position-ordered).
+    profile.l2_snapshot = _lru_image(l2, hot)
+    profile.iop_pos = np.array(iop_pos, dtype=np.int32)
+    profile.iop_call = iop_call
+    # (one trailing unused entry: the kernel takes a pointer even when
+    # no set is over-subscribed)
+    profile.acc_slot = np.concatenate((
+        np.array(i_slot, dtype=np.int32), d_slot[d_pos].astype(np.int32),
+        np.zeros(1, dtype=np.int32)))
+    profile.acc_tag = np.concatenate((
+        np.array(i_tag, dtype=np.int64), d_line[d_pos] // num_l2_sets,
+        np.zeros(1, dtype=np.int64)))
+    profile.acc_row = np.concatenate((
+        np.array(i_row, dtype=np.int64), mem[d_pos] // row_bytes,
+        np.zeros(1, dtype=np.int64)))
+    profile.d_l2 = d_l2
+    timings = ms.dram.timings
+    row_hit = timings.t_overhead + timings.t_cl + timings.t_burst
+    profile.dram = (Dram.NUM_RANKS * Dram.BANKS_PER_RANK, row_hit,
+                    row_hit + timings.t_rp + timings.t_rcd)
     return profile
 
 
-def _memory_profile(trace: Trace, tables, config, crit: bytearray,
+def _lru_image(cache, sets) -> Tuple[int, int, List[int], List[int]]:
+    """``(num_sets, assoc, occupancy, flat MRU-first tags)`` of the given
+    LRU sets of ``cache``, in order."""
+    assoc = cache.assoc
+    sets = list(sets)
+    occ = [len(cache._sets[s]) for s in sets]
+    flat = [0] * (len(sets) * assoc)
+    for k, s in enumerate(sets):
+        base = k * assoc
+        for w, tag in enumerate(cache._sets[s]):
+            flat[base + w] = tag
+    return len(sets), assoc, occ, flat
+
+
+def _memory_profile(np, trace: Trace, tables, config, crit: bytearray,
                     created) -> _MemoryProfile:
     """Memoized per trace when every composed component is a known
     builtin (custom factories may read arbitrary config fields, so they
@@ -390,7 +432,7 @@ def _memory_profile(trace: Trace, tables, config, crit: bytearray,
     ) and type(make_policy(config.memory.icache_policy)) \
         in (LruPolicy, TrripPolicy)
     if not shareable:
-        return _build_memory_profile(trace, tables, config, crit)
+        return _build_memory_profile(np, trace, tables, config, crit)
     key: Tuple[Any, ...] = (
         "mem", astuple(config.memory),
         tuple(PREFETCHERS.identity(name)
@@ -403,7 +445,7 @@ def _memory_profile(trace: Trace, tables, config, crit: bytearray,
     cache = _profile_cache(trace)
     profile = cache.get(key)
     if profile is None:
-        profile = _build_memory_profile(trace, tables, config, crit)
+        profile = _build_memory_profile(np, trace, tables, config, crit)
         cache[key] = profile
     return profile
 
@@ -411,140 +453,93 @@ def _memory_profile(trace: Trace, tables, config, crit: bytearray,
 # -- shared-array assembly -----------------------------------------------------
 
 
-def _trace_derived(trace: Trace, tables) -> Dict[str, Any]:
-    """Per-trace arrays: CSR dependence maps, packed entry flags, and
-    the trace's max base latency (wheel sizing)."""
+def _csr(np, lists) -> Tuple[Any, Any]:
+    """(pointer, index) arrays of a per-position list of lists."""
+    n = len(lists)
+    ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.fromiter(map(len, lists), dtype=np.int32, count=n),
+              out=ptr[1:])
+    idx = np.fromiter(chain.from_iterable(lists), dtype=np.int32,
+                      count=int(ptr[-1]))
+    return ptr, idx
+
+
+def _trace_derived(np, trace: Trace, tables) -> Dict[str, Any]:
+    """Per-trace arrays: the entry tables, CSR dependence maps, packed
+    entry flags, memory addresses (-1 for none) with the mask of entries
+    whose load/store touches memory, and the max base latency (wheel
+    sizing)."""
     cache = _derived_cache(trace)
     rec = cache.get("base")
     if rec is not None:
         return rec
     n = len(trace.entries)
-    flags = bytearray(n)
-    isld = tables.isld
-    isst = tables.isst
-    iscdp = tables.iscdp
-    for pos in range(n):
-        flags[pos] = ((bk.FLAG_LOAD if isld[pos] else 0)
-                      | (bk.FLAG_STORE if isst[pos] else 0)
-                      | (bk.FLAG_CDP if iscdp[pos] else 0))
-    prod_ptr = [0] * (n + 1)
-    total = 0
-    for pos, prods in enumerate(tables.producers):
-        total += len(prods)
-        prod_ptr[pos + 1] = total
-    prod_idx = [0] * total
-    k = 0
-    for prods in tables.producers:
-        for p in prods:
-            prod_idx[k] = p
-            k += 1
-    cons_ptr = [0] * (n + 1)
-    total = 0
-    for pos, cons in enumerate(tables.consumers):
-        total += len(cons)
-        cons_ptr[pos + 1] = total
-    cons_idx = [0] * total
-    k = 0
-    for cons in tables.consumers:
-        for c in cons:
-            cons_idx[k] = c
-            k += 1
+    isld = np.frombuffer(tables.isld, dtype=np.uint8)
+    isst = np.frombuffer(tables.isst, dtype=np.uint8)
+    iscdp = np.frombuffer(tables.iscdp, dtype=np.uint8)
+    mem = np.fromiter((-1 if addr is None else addr
+                       for addr in tables.mems), dtype=np.int64, count=n)
+    prod_ptr, prod_idx = _csr(np, tables.producers)
+    cons_ptr, cons_idx = _csr(np, tables.consumers)
     rec = {
-        "flags": flags,
+        "sizes": np.array(tables.sizes, dtype=np.int32),
+        "lats": np.array(tables.lats, dtype=np.int32),
+        "fus": np.frombuffer(tables.fus, dtype=np.uint8),
+        "flags": (isld * bk.FLAG_LOAD | isst * bk.FLAG_STORE
+                  | iscdp * bk.FLAG_CDP).astype(np.uint8),
         "prod_ptr": prod_ptr,
         "prod_idx": prod_idx,
         "cons_ptr": cons_ptr,
         "cons_idx": cons_idx,
+        "mem": mem,
+        "touch": ((isld | isst) != 0) & (mem >= 0),
         "max_lat": max(tables.lats) if n else 1,
     }
     cache["base"] = rec
     return rec
 
 
-def _dcache_map(trace: Trace, tables, line_bytes: int,
-                dc_sets: int) -> Tuple[List[int], List[int]]:
+def _dcache_map(np, trace: Trace, tables, line_bytes: int,
+                dc_sets: int) -> Tuple[Any, Any]:
     """Per-position d-cache (set, tag) split; tag -1 encodes "no memory
-    address" (entries whose ``mem_addr`` is None never touch memory)."""
+    access" (entries whose ``mem_addr`` is None never touch memory)."""
     cache = _derived_cache(trace)
     key = ("dmap", line_bytes, dc_sets)
     rec = cache.get(key)
     if rec is not None:
         return rec
-    n = len(trace.entries)
-    d_set = [0] * n
-    d_tag = [-1] * n
-    mems = tables.mems
-    isld = tables.isld
-    isst = tables.isst
-    for pos in range(n):
-        if isld[pos] or isst[pos]:
-            addr = mems[pos]
-            if addr is not None:
-                line = addr // line_bytes
-                d_set[pos] = line % dc_sets
-                d_tag[pos] = line // dc_sets
-    rec = (d_set, d_tag)
+    derived = _trace_derived(np, trace, tables)
+    touch = derived["touch"]
+    line = derived["mem"] // line_bytes
+    rec = (np.where(touch, line % dc_sets, 0).astype(np.int32),
+           np.where(touch, line // dc_sets, -1))
     cache[key] = rec
     return rec
-
-
-def _np_i32(np, values, cache: Dict[str, Any], key: str):
-    arr = cache.get(key)
-    if arr is None:
-        arr = np.array(values, dtype=np.int32)
-        cache[key] = arr
-    return arr
-
-
-def _np_i64(np, values, cache: Dict[str, Any], key: str):
-    arr = cache.get(key)
-    if arr is None:
-        arr = np.array(values, dtype=np.int64)
-        cache[key] = arr
-    return arr
-
-
-def _np_u8(np, values, cache: Dict[str, Any], key: str):
-    arr = cache.get(key)
-    if arr is None:
-        arr = np.frombuffer(bytes(values), dtype=np.uint8)
-        cache[key] = arr
-    return arr
 
 
 def _make_shared(np, trace: Trace, tables, config, bp: _BranchProfile,
                  mp: _MemoryProfile, crit_np) -> bk.SharedArrays:
     """Assemble one cell class's read-only numpy arrays.
 
-    Heavyweight n-sized arrays are cached per trace (and per profile) so
+    Every n-sized array is built once per trace or per profile, so
     cells of the same class share them.
     """
-    derived = _trace_derived(trace, tables)
-    dc_sets = mp.dc_snapshot[0]
-    d_set, d_tag = _dcache_map(trace, tables, config.memory.line_bytes,
-                               dc_sets)
+    derived = _trace_derived(np, trace, tables)
     sh = bk.SharedArrays()
     sh.n = len(trace.entries)
-    cache = _derived_cache(trace)
-    npc = cache.setdefault("np", {})
-    sh.sizes = _np_i32(np, tables.sizes, npc, "sizes")
-    sh.lats = _np_i32(np, tables.lats, npc, "lats")
-    sh.fus = _np_u8(np, tables.fus, npc, "fus")
-    sh.flags = _np_u8(np, derived["flags"], npc, "flags")
-    sh.prod_ptr = _np_i32(np, derived["prod_ptr"], npc, "prod_ptr")
-    sh.prod_idx = _np_i32(np, derived["prod_idx"], npc, "prod_idx")
-    sh.cons_ptr = _np_i32(np, derived["cons_ptr"], npc, "cons_ptr")
-    sh.cons_idx = _np_i32(np, derived["cons_idx"], npc, "cons_idx")
-    sh.bact = _np_u8(np, bp.bact, bp.np_cache, "bact")
+    for name in ("sizes", "lats", "fus", "flags", "prod_ptr", "prod_idx",
+                 "cons_ptr", "cons_idx"):
+        setattr(sh, name, derived[name])
+    sh.bact = np.frombuffer(bp.bact, dtype=np.uint8)
     sh.crit = crit_np
-    sh.iev = _np_i32(np, mp.iev, mp.np_cache, "iev")
-    sh.ev_kind = _np_u8(np, mp.ev_kind, mp.np_cache, "ev_kind")
-    sh.ev_lat = _np_i32(np, mp.ev_lat, mp.np_cache, "ev_lat")
-    sh.ev_creator = _np_i32(np, mp.ev_creator, mp.np_cache, "ev_creator")
-    dkey = ("d_set", config.memory.line_bytes, dc_sets)
-    tkey = ("d_tag", config.memory.line_bytes, dc_sets)
-    sh.d_set = _np_i32(np, d_set, npc, dkey)
-    sh.d_tag = _np_i64(np, d_tag, npc, tkey)
+    sh.d_set, sh.d_tag = _dcache_map(np, trace, tables,
+                                     config.memory.line_bytes,
+                                     mp.dc_snapshot[0])
+    sh.ev_kind = np.frombuffer(mp.ev_kind, dtype=np.uint8)
+    sh.iop_call = np.frombuffer(mp.iop_call, dtype=np.uint8)
+    for name in ("iev", "ev_lat", "ev_creator", "d_l2", "iop_pos",
+                 "acc_slot", "acc_tag", "acc_row"):
+        setattr(sh, name, getattr(mp, name))
     return sh
 
 
@@ -621,8 +616,8 @@ def _finalize_cell(np, trace: Trace, config, cell: bk.CellState,
     stats.dcache_accesses = g(bk.R_DC_ACC)
     stats.dcache_misses = g(bk.R_DC_MISS)
     stats.l2_accesses = mp.l2_accesses + g(bk.R_L2D_ACC)
-    stats.l2_misses = 0
-    stats.dram_reads = 0
+    stats.l2_misses = g(bk.R_L2_MISS)
+    stats.dram_reads = g(bk.R_DRAM_READS)
     stats.branch_mispredicts = bp.mispredicts
     total = 0
     for name, issued in mp.prefetch_issued:
@@ -752,10 +747,8 @@ def simulate_batch(
             plan.reason = "load-observing prefetcher"
             continue
         plan.bp = _branch_profile(trace, tables, plan.config)
-        plan.mp = _memory_profile(trace, tables, plan.config, crit,
+        plan.mp = _memory_profile(np, trace, tables, plan.config, crit,
                                   created)
-        if plan.mp.unsafe is not None:
-            plan.reason = plan.mp.unsafe
 
     fast = [plan for plan in plans if plan.reason is None]
     kernel_name = "none"
@@ -765,6 +758,7 @@ def simulate_batch(
         if fast:
             kernel_name = "c"
             crit_np = np.frombuffer(bytes(crit), dtype=np.uint8)
+            max_lat = _trace_derived(np, trace, tables)["max_lat"]
             shared_cache: Dict[Any, Any] = {}
             for plan in fast:
                 skey = (id(plan.bp), id(plan.mp))
@@ -775,11 +769,13 @@ def simulate_batch(
                     shared_cache[skey] = sh
                 plan.shared = sh
                 mc = plan.config.memory
-                max_latency = max(_trace_derived(trace, tables)["max_lat"],
-                                  mc.dcache_hit + mc.l2_hit, 1)
-                plan.cell = bk.make_cell(sh, plan.mp.n_events, plan.config,
-                                         plan.mp.dc_snapshot, max_latency,
-                                         np)
+                # worst d-side path: a load missing the d-cache, the L2
+                # and the open DRAM row
+                max_latency = max(max_lat,
+                                  mc.dcache_hit + mc.l2_hit
+                                  + plan.mp.dram[2], 1)
+                plan.cell = bk.make_cell(sh, plan.mp, plan.config,
+                                         max_latency, np)
 
             running = list(fast)
             while running:

@@ -398,7 +398,9 @@ def engine_metamorphic(rng: random.Random, result: FuzzResult,
     identity.  The config list deliberately mixes plain cells (batched
     fast path) with a CLPT config whose load-observing prefetcher cannot
     be vectorized, so the per-cell inline fallback inside a batch is
-    exercised every round.
+    exercised every round.  Acrobat joins every grid: at walk 80 its
+    traces over-subscribe L2 sets, so every round also drives the batch
+    kernel's L2 and DRAM model.
     """
     from repro.cache import ENV_DIR, ENV_ENABLE, reset_cache
     from repro.experiments import runner
@@ -407,6 +409,7 @@ def engine_metamorphic(rng: random.Random, result: FuzzResult,
 
     report = ValidationReport(trace_name="engine", config_name="grid")
     app = rng.choice(sorted(ALL_PROFILES)[:8])
+    apps = [app] if app == "Acrobat" else [app, "Acrobat"]
     scheme = rng.choice(["hoist", "critic", "opp16"])
     configs = (GOOGLE_TABLET, config_4x_icache(),
                config_critical_prefetch())
@@ -424,11 +427,11 @@ def engine_metamorphic(rng: random.Random, result: FuzzResult,
                 reset_cache()
                 runner.clear_cache()
                 grids[engine] = runner.run_apps(
-                    [app], schemes=("baseline", scheme), jobs=1,
+                    apps, schemes=("baseline", scheme), jobs=1,
                     configs=configs, walk_blocks=walk_blocks,
                     engine=engine,
                 )
-                result.simulations += 2 * len(configs)
+                result.simulations += 2 * len(apps) * len(configs)
                 manifest = load_manifest(str(manifest_dir() / LAST_RUN))
                 hashes[engine] = manifest["config_hash"]
                 identities[engine] = manifest.get("engine")
@@ -444,8 +447,8 @@ def engine_metamorphic(rng: random.Random, result: FuzzResult,
     _meta(
         report, result, grids["batch"] == grids["inline"],
         "meta_engine_stats",
-        f"batch engine changed SimStats for {app}/{scheme}: the engines "
-        f"must be bit-identical",
+        f"batch engine changed SimStats for {'+'.join(apps)}/{scheme}: "
+        f"the engines must be bit-identical",
     )
     _meta(
         report, result, hashes["batch"] == hashes["inline"],

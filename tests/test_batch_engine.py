@@ -10,6 +10,7 @@ numpy error.  The full 56-cell golden comparison runs in CI under
 """
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,12 @@ from repro.cpu.config import (
 )
 from repro.cpu.pipeline import simulate
 from repro.experiments import runner
-from repro.registry import PREFETCHERS, SIMULATORS, RegistryError
+from repro.registry import (
+    HARDWARE_CONFIGS,
+    PREFETCHERS,
+    SIMULATORS,
+    RegistryError,
+)
 from repro.registry.protocols import PrefetcherBase
 from repro.telemetry.manifest import LAST_RUN, load_manifest, manifest_dir
 from repro.trace.dynamic import Trace
@@ -47,14 +53,14 @@ def _fresh_state(tmp_path, monkeypatch):
     reset_cache()
 
 
-def _fresh_trace(name="Music", blocks=WALK):
+def _fresh_trace(name="Music", blocks=WALK, scheme="baseline"):
     """A ``Trace`` object no prior test memoized against.
 
     The weak memos (``pipeline._trace_tables``, ``batch._profiles``) are
     keyed by Trace identity; copying the entries into a new object gives
     each test a clean memoization slate.
     """
-    src = runner.app_context(name, blocks).trace()
+    src = runner.app_context(name, blocks).scheme_trace(scheme)
     return Trace(src.entries, name=src.name, program_name=src.program_name)
 
 
@@ -75,6 +81,47 @@ class TestBitIdentity:
         assert report["width"] == len(configs)
         assert report["fast"] == len(configs)
         assert report["fallbacks"] == []
+
+    def test_over_subscribed_l2_sets_run_on_the_kernel(self):
+        """Acrobat@80 over-subscribes L2 sets (the inline simulator
+        reports L2 misses and DRAM reads); the kernel models those sets
+        and the DRAM rows behind them instead of falling back."""
+        configs = [HARDWARE_CONFIGS.create(name) for name in (
+            "google-tablet", "2xFD", "4xI$", "EFetch", "PerfectBr",
+            "BackendPrio", "AllHW", "trrip-icache")]
+        cells = []
+        for scheme in ("baseline", "critic"):
+            trace = _fresh_trace("Acrobat", 80, scheme)
+            batch = simulate_batch(trace, configs, validate=True)
+            assert last_batch_report()["fast"] == len(configs), scheme
+            for config, stats in zip(configs, batch):
+                assert stats.to_dict() == _inline(
+                    trace, config, validate=True).to_dict(), \
+                    (scheme, config.name)
+            cells += batch
+        assert any(stats.l2_misses > 0 for stats in cells)
+        assert any(stats.dram_reads > 0 for stats in cells)
+
+    def test_shrunken_l2_replays_i_side_misses_and_fills(self):
+        """Tiny L2s make i-side demand lookups miss to DRAM and let
+        prefetch fills (fetch- and call-observing) reorder and evict
+        lines of over-subscribed sets: the kernel replays each at the
+        fetch point inline performs it."""
+        both = config_efetch().with_components(
+            prefetchers=("critical-nextline",))
+        configs = [
+            replace(base, name=f"{base.name}-l2-{kib}k-{ways}w",
+                    memory=replace(base.memory, l2_bytes=kib * 1024,
+                                   l2_assoc=ways, icache_bytes=4096))
+            for base in (config_efetch(), both)
+            for kib, ways in ((4, 1), (8, 2))
+        ]
+        trace = _fresh_trace()
+        batch = simulate_batch(trace, configs, validate=True)
+        assert last_batch_report()["fast"] == len(configs)
+        for config, stats in zip(configs, batch):
+            assert stats.to_dict() == _inline(
+                trace, config, validate=True).to_dict(), config.name
 
     def test_no_compiler_runs_every_cell_inline(self, tmp_path,
                                                 monkeypatch):
