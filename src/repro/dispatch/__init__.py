@@ -2,23 +2,24 @@
 
 "How cells get executed" is a registered component, exactly like
 prefetchers and branch predictors: the :data:`repro.registry.EXECUTORS`
-registry maps a name (``REPRO_EXECUTOR``, ``--executor``) to a factory
+registry maps a name (``executor=``, ``--executor``) to a factory
 producing an object with the :class:`~repro.registry.protocols.Executor`
 surface — ``submit(task)`` / ``drain()`` / ``shutdown()``, returning
 per-task :class:`TaskResult`\\ s whose :class:`Attempt` records say
 exactly how each cell was obtained.
 
-Three built-ins:
+Two built-ins:
 
 ==========  ===========================================================
-``inline``  serial, in the parent process; the determinism baseline and
-            the quarantine fallback for the other two
-``pool``    ``ProcessPoolExecutor`` (the pre-dispatch parallel path)
-            with per-attempt deadlines, in-pool retries, and quarantine
-``fleet``   a loopback TCP broker leasing tasks to
-            ``python -m repro.dispatch.worker`` processes, with
+``inline``  serial, in the parent process; the determinism baseline,
+            what one job always runs, and the quarantine fallback for
+            the fleet
+``fleet``   the default when ``jobs > 1``: a TCP broker leasing tasks
+            to ``python -m repro.dispatch.worker`` processes, with
             heartbeats, dead-worker requeue, exponential-backoff
-            retries, and poison-task quarantine
+            retries, and poison-task quarantine — a
+            :class:`~repro.dispatch.fleet.PersistentFleet` (the one
+            ``repro.serve`` keeps warm) drained once
 ==========  ===========================================================
 
 Whatever the backend and whatever faults are injected
@@ -42,16 +43,12 @@ from repro.dispatch.base import (
 from repro.dispatch.faults import ENV_FAULTS, FaultPlan, FaultSpecError
 from repro.dispatch.watchdog import cell_deadline
 
-#: Environment knob naming the executor ``run_apps`` should use.
-ENV_EXECUTOR = "REPRO_EXECUTOR"
-
 __all__ = [
     "Attempt",
     "CellDeadlockError",
     "CellTimeoutError",
     "DispatchError",
     "DispatchReport",
-    "ENV_EXECUTOR",
     "ENV_FAULTS",
     "FaultPlan",
     "FaultSpecError",

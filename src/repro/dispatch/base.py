@@ -4,7 +4,7 @@ An *executor* turns a batch of :class:`TaskSpec`\\ s into
 :class:`TaskResult`\\ s.  Every execution of a task — on whatever worker,
 however it ended — is recorded as an :class:`Attempt`, so the caller
 (and the run manifest) can see exactly how a result was obtained: first
-try on a pool worker, third try after two SIGKILLed fleet workers, or a
+try on a fleet worker, third try after two SIGKILLed ones, or a
 quarantined poison task degraded to the parent's inline path.
 
 The contract every executor honors:
@@ -108,7 +108,7 @@ class RetryPolicy:
 
     All executors share one policy object; the environment knobs are the
     single source of defaults so ``REPRO_DISPATCH_TIMEOUT=30`` means the
-    same thing to the pool and to the fleet broker.
+    same thing to the inline path and to the fleet broker.
     """
 
     #: per-attempt wall-clock budget, seconds (``REPRO_DISPATCH_TIMEOUT``)
@@ -186,7 +186,7 @@ class Attempt:
     """One execution of one task on one worker, however it ended."""
 
     index: int                    #: 1-based attempt number
-    worker: str                   #: "inline", "pool-3", "fleet-1", ...
+    worker: str                   #: "inline", "fleet-1", ...
     outcome: str                  #: see ``OUTCOMES``
     wall_s: float = 0.0
     error: Optional[str] = None   #: traceback text for failed attempts
@@ -322,11 +322,12 @@ def quarantine_inline(tasks: List[Tuple[TaskSpec, TaskResult]],
                       policy: RetryPolicy) -> None:
     """Degrade exhausted tasks to the parent's inline path, fail-fast.
 
-    Shared by the pool and fleet executors: each quarantined task runs
-    once in the parent (under the cell deadline), and the first failure
-    marks every later quarantined task ``skipped`` — re-running a poison
-    task after the run is already failing would only repeat the damage
-    (and double-record its telemetry).
+    Shared by the fleet executor and the persistent fleet: each
+    quarantined task runs once in the parent (under the cell deadline),
+    and the first failure marks every later quarantined task
+    ``skipped`` — re-running a poison task after the run is already
+    failing would only repeat the damage (and double-record its
+    telemetry).
     """
     from repro.dispatch.watchdog import cell_deadline, run_attempt
 

@@ -26,7 +26,7 @@ Determinism: every decision is drawn from ``Random(crc32(seed, task_id,
 attempt, kind))`` — a pure function of the plan seed and the attempt's
 identity.  Re-running the same grid under the same spec injects the same
 faults at the same places, which is what lets the dispatch metamorphic
-(`inline == pool == fleet-with-faults`) be a CI gate rather than a
+(`inline == fleet == fleet-with-faults`) be a CI gate rather than a
 flake.  A task that draws a fault on attempt 1 draws *independently* on
 attempt 2, so fault probabilities < 1 always leave an escape path; tasks
 that keep losing the draw exhaust their attempt budget and quarantine to

@@ -1,12 +1,12 @@
-"""The fleet executor: a TCP broker leasing cells to worker processes.
+"""The fleet: a TCP broker leasing cells to worker processes.
 
-Topology: the parent process runs a :class:`Broker` (a loopback TCP
-listener plus one handler thread per connection) and spawns ``jobs``
-workers as ``python -m repro.dispatch.worker --connect host:port``.
-Workers *pull*: each sends ``ready``, receives a task lease (the pickled
-``(fn, args, kwargs)`` payload plus its attempt number), heartbeats
-while executing, and reports a result envelope.  The broker trusts
-nothing:
+Topology: the parent process runs a :class:`Broker` (a TCP listener plus
+one handler thread per connection) and a :class:`PersistentFleet` keeps
+``jobs`` workers alive as ``python -m repro.dispatch.worker --connect
+host:port``.  Workers *pull*: each sends ``ready``, receives a task
+lease (the pickled ``(fn, args, kwargs)`` payload plus its attempt
+number), heartbeats while executing, and reports a result envelope.
+The broker trusts nothing:
 
 * **leases expire** — a lease whose heartbeats stop for
   ``4 x heartbeat_s``, or whose wall clock passes the per-task timeout,
@@ -14,8 +14,7 @@ nothing:
   SIGKILLed;
 * **dead workers requeue instantly** — a connection dropping mid-lease
   records a ``worker-died`` attempt and requeues without waiting for
-  any timeout; the monitor respawns a replacement (bounded by the total
-  attempt budget, so a crash loop cannot spawn forever);
+  any timeout; the fleet's monitor respawns a replacement;
 * **surrendered leases requeue instantly** — a worker asking for new
   work while still holding a lease (the ``drop`` fault, or a worker
   that lost its own state) gives the lease back as ``lost``;
@@ -24,11 +23,27 @@ nothing:
 * **poison tasks quarantine** — a task that exhausts
   ``policy.max_attempts`` degrades to the parent's inline path (see
   :func:`repro.dispatch.base.quarantine_inline`), so one bad cell ends
-  as a structured error or an inline result, never a hung sweep;
-* **the drain itself is bounded** — a belt-and-braces hard deadline
-  (the summed attempt budget) expires every lease and quarantines
-  whatever is left, so no failure mode of the broker machinery can hang
-  past the timeout budget either.
+  as a structured error or an inline result, never a hung sweep.
+
+One fleet class serves both lifetimes.  ``repro.serve`` keeps a
+:class:`PersistentFleet` up across requests; the registered ``fleet``
+executor (:class:`FleetExecutor`) starts one, drains it once, and shuts
+it down.  The fleet obeys one rule set either way:
+
+* **respawn** — the fleet keeps ``jobs`` *local* worker processes alive.
+  Externally-joined TCP workers add capacity on top and never displace
+  or replace a local worker, so the local complement depends on local
+  process state alone;
+* **respawn budget** — at most ``jobs + max_attempts x tasks submitted
+  so far`` worker launches.  A worker that dies costs its task an
+  attempt, so this is the total attempt budget: a crash-looping fleet
+  converges to quarantine instead of forking forever;
+* **no workers left** — when a fleet that wants local workers has none
+  alive and none connected (spawning failed or the budget is spent),
+  every unfinished task is handed to inline quarantine;
+* **bounded drain** — :meth:`FleetExecutor.drain` also has a hard
+  deadline (the summed attempt budget) past which whatever is left is
+  quarantined, so no failure of the broker machinery can hang a sweep.
 
 Determinism: workers compute pure functions of their task payloads, so
 *which* worker runs a cell, in what order, after how many faults, cannot
@@ -60,7 +75,6 @@ from repro.dispatch.base import (
     observe_attempt,
     quarantine_inline,
 )
-from repro.dispatch.faults import ENV_FAULTS
 
 #: How often the drain loop sweeps leases/processes, seconds.
 _TICK_S = 0.05
@@ -117,27 +131,17 @@ class Broker:
     ``REPRO_FLEET_TOKEN``), every hello must carry it or the connection
     is answered with ``denied`` and dropped.
 
-    Two lifetimes:
-
-    * **one-shot** (default) — built for a single ``drain()``: once every
-      submitted task is done, idle workers are told to exit.  This is
-      the :class:`FleetExecutor` path.
-    * **persistent** (``persistent=True``) — a multi-request lifetime
-      for :class:`PersistentFleet` / ``repro.serve``: an empty queue
-      means *idle*, not *done*; tasks may be added at any time;
-      completed tasks are handed out (and their tables reclaimed)
-      through :meth:`take_completed`; and a graceful
-      :meth:`begin_drain` finishes in-flight leases before workers are
-      released.
+    An empty queue means *idle*, not *done*: tasks may be added at any
+    time, completed tasks are handed out (and their tables reclaimed)
+    through :meth:`take_completed`, and a graceful :meth:`begin_drain`
+    finishes in-flight leases before workers are released.
     """
 
     def __init__(self, policy: RetryPolicy,
-                 persistent: bool = False,
                  host: Optional[str] = None,
                  port: Optional[int] = None,
                  token: Optional[str] = None) -> None:
         self.policy = policy
-        self.persistent = persistent
         if host is None and port is None:
             host, port = parse_bind(os.environ.get(ENV_BIND))
         self.token = token if token is not None \
@@ -147,10 +151,9 @@ class Broker:
         self._listener.settimeout(0.2)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._lock = threading.RLock()
+        #: tasks submitted and not yet taken, in submission order
         self._tasks: Dict[str, TaskSpec] = {}
         self._payloads: Dict[str, bytes] = {}
-        self._order: List[str] = []
-        self._results: Dict[str, Any] = {}
         self._records: Dict[str, TaskResult] = {}
         #: (ready_time, seq, task_id, attempt_no) min-heap
         self._queue: List[Tuple[float, int, str, int]] = []
@@ -163,9 +166,9 @@ class Broker:
         #: externally-joined TCP workers currently connected
         self._external: Set[str] = set()
         self._conns: List[socket.socket] = []
-        self._exhausted: Set[str] = set()
-        #: task ids in completion order, not yet taken (persistent mode)
-        self._completed: List[str] = []
+        #: finished, not yet taken: task id -> exhausted its budget,
+        #: in completion order
+        self._completed: Dict[str, bool] = {}
         self._draining = False
         self._closed = False
         self._threads: List[threading.Thread] = []
@@ -175,7 +178,6 @@ class Broker:
     def add_task(self, task: TaskSpec) -> None:
         with self._lock:
             self._tasks[task.id] = task
-            self._order.append(task.id)
             self._records[task.id] = TaskResult(task_id=task.id)
             self._payloads[task.id] = wire.dumps(
                 (task.fn, task.args, task.kwargs)
@@ -204,37 +206,20 @@ class Broker:
     # -- status --------------------------------------------------------------
 
     def finished(self) -> bool:
+        """Every task not yet taken has finished: nothing is queued or
+        leased."""
         with self._lock:
-            return (len(self._results) + len(self._exhausted)
-                    >= len(self._tasks))
-
-    def results(self) -> List[TaskResult]:
-        """Task results in submission order (quarantine not yet run)."""
-        with self._lock:
-            out = []
-            for task_id in self._order:
-                record = self._records[task_id]
-                if task_id in self._results:
-                    record.value = self._results[task_id]
-                out.append(record)
-            return out
-
-    def exhausted_tasks(self) -> List[Tuple[TaskSpec, TaskResult]]:
-        with self._lock:
-            return [(self._tasks[tid], self._records[tid])
-                    for tid in self._order if tid in self._exhausted]
+            return len(self._completed) >= len(self._tasks)
 
     def idle(self) -> bool:
-        """No queued work, no active leases, nothing waiting to be
-        taken — the moment a persistent broker can be drained for free."""
+        """No task outstanding or waiting to be taken — the moment the
+        broker can be drained for free."""
         with self._lock:
-            return (not self._leases and not self._completed
-                    and not any(tid in self._tasks
-                                for _, _, tid, _ in self._queue))
+            return not self._tasks
 
     def take_completed(self) -> List[Tuple[TaskSpec, TaskResult, bool]]:
         """Hand out newly finished tasks in completion order and reclaim
-        their tables (persistent mode's result channel).
+        their tables (the broker's one result channel).
 
         Returns ``(spec, result, exhausted)`` triples; ``exhausted``
         tasks burned their whole attempt budget and still need the
@@ -243,22 +228,11 @@ class Broker:
         keeps a long-running fleet's memory bounded.
         """
         with self._lock:
-            out: List[Tuple[TaskSpec, TaskResult, bool]] = []
-            for task_id in self._completed:
-                record = self._records[task_id]
-                if task_id in self._results:
-                    record.value = self._results[task_id]
-                out.append((self._tasks[task_id], record,
-                            task_id in self._exhausted))
-                self._tasks.pop(task_id, None)
-                self._payloads.pop(task_id, None)
-                self._results.pop(task_id, None)
-                self._records.pop(task_id, None)
-                self._exhausted.discard(task_id)
-                try:
-                    self._order.remove(task_id)
-                except ValueError:
-                    pass
+            out = [(self._tasks.pop(task_id), self._records.pop(task_id),
+                    exhausted)
+                   for task_id, exhausted in self._completed.items()]
+            for task, _record, _exhausted in out:
+                self._payloads.pop(task.id, None)
             self._completed.clear()
             return out
 
@@ -284,8 +258,7 @@ class Broker:
     def _requeue(self, task_id: str, attempt_no: int) -> None:
         """Queue the next attempt, or exhaust the task's budget."""
         if attempt_no >= self.policy.max_attempts:
-            self._exhausted.add(task_id)
-            self._completed.append(task_id)
+            self._completed[task_id] = True
             record = self._records[task_id]
             record.error = (
                 f"task {task_id!r} exhausted its "
@@ -355,12 +328,10 @@ class Broker:
         with self._lock:
             for task_id in list(self._leases):
                 self._release_lease(task_id, "worker-died", reason)
-            for task_id in self._order:
-                if (task_id in self._results
-                        or task_id in self._exhausted):
+            for task_id in self._tasks:
+                if task_id in self._completed:
                     continue
-                self._exhausted.add(task_id)
-                self._completed.append(task_id)
+                self._completed[task_id] = True
                 record = self._records[task_id]
                 if record.error is None:
                     record.error = reason
@@ -452,15 +423,11 @@ class Broker:
                     f"worker {worker} surrendered the lease without a "
                     f"result",
                 )
-            if not self.persistent and self.finished():
-                wire.send_msg(conn, {"type": "exit"})
-                return
             now = time.monotonic()
             while self._queue:
                 ready, _seq, task_id, attempt_no = self._queue[0]
                 if task_id not in self._tasks \
-                        or task_id in self._results \
-                        or task_id in self._exhausted \
+                        or task_id in self._completed \
                         or task_id in self._leases:
                     heapq.heappop(self._queue)
                     continue
@@ -530,9 +497,9 @@ class Broker:
                 return
             self._record_attempt(task_id, lease.attempt_no, worker,
                                  "ok", wall)
-            self._results[task_id] = value
-            self._completed.append(task_id)
+            self._completed[task_id] = False
             record = self._records[task_id]
+            record.value = value
             record.error = None
             record.error_exc = None
 
@@ -592,179 +559,23 @@ def _kill_pid(pid: int) -> None:
         pass
 
 
-class FleetExecutor:
-    """Socket broker + N ``repro.dispatch.worker`` processes."""
-
-    name = "fleet"
-
-    def __init__(self, jobs: Optional[int] = None,
-                 policy: Optional[RetryPolicy] = None) -> None:
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self.policy = policy if policy is not None \
-            else RetryPolicy.from_env()
-        self._tasks: List[TaskSpec] = []
-        self._procs: List[_WorkerProc] = []
-        self.faults_spec = os.environ.get(ENV_FAULTS, "").strip() or None
-
-    def submit(self, task: TaskSpec) -> None:
-        self._tasks.append(task)
-
-    # -- worker process management -------------------------------------------
-
-    def _spawn(self, broker: Broker, index: int) -> Optional[_WorkerProc]:
-        name = f"fleet-{index}"
-        broker.expect_worker(name)
-        proc = _spawn_worker(broker.address, name, broker.token)
-        if proc is None:
-            return None
-        worker = _WorkerProc(name=name, proc=proc)
-        self._procs.append(worker)
-        return worker
-
-    def _kill_pid(self, pid: int) -> None:
-        _kill_pid(pid)
-
-    def _reap_and_respawn(self, broker: Broker,
-                          spawn_budget: List[int]) -> int:
-        """Collect dead workers; spawn replacements while budget lasts.
-
-        Externally-joined TCP workers count toward the ``jobs`` target
-        (an elastic fleet scales local spawning *down* when remote
-        capacity joins) but never against the spawn budget — the broker
-        holds no process handle for them.  Returns local live +
-        external workers.
-        """
-        external = broker.external_workers()
-        live = 0
-        for worker in self._procs:
-            if worker.dead:
-                continue
-            if worker.proc.poll() is None:
-                live += 1
-            else:
-                worker.dead = True
-                telemetry.inc("repro_dispatch_worker_deaths_total",
-                              help="Fleet workers that exited before "
-                                   "the drain finished.")
-                telemetry.emit("dispatch.worker.death",
-                               worker=worker.name,
-                               returncode=worker.proc.returncode)
-        while live + external < self.jobs and spawn_budget[0] > 0 \
-                and not broker.finished():
-            spawn_budget[0] -= 1
-            spawned = self._spawn(broker, len(self._procs))
-            if spawned is None:
-                break
-            live += 1
-        telemetry.set_gauge("repro_dispatch_workers", live,
-                            help="Live fleet workers (gauge; merges as "
-                                 "max across processes).")
-        telemetry.set_gauge("repro_dispatch_external_workers", external,
-                            help="Externally-joined TCP workers "
-                                 "currently connected (gauge).")
-        return live + external
-
-    # -- the drain loop ------------------------------------------------------
-
-    def drain(self) -> List[TaskResult]:
-        tasks = self._tasks
-        self._tasks = []
-        if not tasks:
-            return []
-        policy = self.policy
-        broker = Broker(policy)
-        for task in tasks:
-            broker.add_task(task)
-        broker.start()
-
-        # Every task can burn its whole attempt budget plus backoff and
-        # still finish; past this the drain machinery itself is declared
-        # wedged and the run completes through quarantine.
-        per_task = max(t.effective_timeout(policy) for t in tasks)
-        hard_deadline = time.monotonic() + 30.0 + (
-            policy.max_attempts
-            * (per_task + policy.backoff_cap_s
-               + policy.heartbeat_timeout_s)
-        )
-        # A worker that dies consumes an attempt before it needs a
-        # replacement, so the respawn budget is bounded by the total
-        # attempt budget — a crash-looping fleet converges to
-        # quarantine instead of forking forever.
-        spawn_budget = [self.jobs + len(tasks) * policy.max_attempts]
-
-        try:
-            for index in range(min(self.jobs, len(tasks))):
-                spawn_budget[0] -= 1
-                self._spawn(broker, index)
-            while not broker.finished():
-                if time.monotonic() > hard_deadline:
-                    broker.fail_unfinished(
-                        "fleet drain hit its hard deadline; remaining "
-                        "tasks quarantined to the inline path"
-                    )
-                    break
-                for pid in broker.expire_stale():
-                    self._kill_pid(pid)
-                live = self._reap_and_respawn(broker, spawn_budget)
-                if live == 0 and not broker.finished():
-                    broker.fail_unfinished(
-                        "no fleet workers left (spawn budget "
-                        "exhausted); remaining tasks quarantined to "
-                        "the inline path"
-                    )
-                    break
-                time.sleep(_TICK_S)
-        finally:
-            broker.close()
-            self._terminate_workers()
-
-        results = broker.results()
-        quarantine_inline(broker.exhausted_tasks(), policy)
-        return results
-
-    def _terminate_workers(self) -> None:
-        for worker in self._procs:
-            if worker.dead or worker.proc.poll() is not None:
-                continue
-            worker.proc.terminate()
-        deadline = time.monotonic() + 2.0
-        for worker in self._procs:
-            if worker.dead:
-                continue
-            remaining = deadline - time.monotonic()
-            try:
-                worker.proc.wait(timeout=max(0.1, remaining))
-            except subprocess.TimeoutExpired:
-                self._kill_pid(worker.proc.pid)
-                try:
-                    worker.proc.wait(timeout=1.0)
-                except subprocess.TimeoutExpired:
-                    pass
-            worker.dead = True
-
-    def shutdown(self) -> None:
-        self._terminate_workers()
-        self._tasks = []
-
-
 class PersistentFleet:
-    """A warm, multi-request worker fleet for ``repro.serve``.
+    """A warm, multi-request worker fleet.
 
-    Where :class:`FleetExecutor` builds a broker, drains one batch, and
-    tears everything down, this keeps one persistent :class:`Broker` and
-    a stable complement of ``jobs`` workers alive across arbitrarily
-    many requests — so the second request never pays process spawn or
-    import cost again.  The interface is a task pump, not a batch
-    barrier:
+    Keeps one :class:`Broker` and a complement of ``jobs`` local workers
+    alive across arbitrarily many tasks, so ``repro.serve``'s second
+    request never pays process spawn or import cost again; the ``fleet``
+    executor is this class drained once (:class:`FleetExecutor`).  The
+    interface is a task pump, not a batch barrier:
 
     * :meth:`submit` enqueues a task at any time;
     * :meth:`poll` returns whatever finished since the last poll, in
       completion order (exhausted tasks are quarantined to the caller's
       inline path first, same contract as the executors);
     * a background monitor thread expires stale leases, SIGKILLs wedged
-      workers, reaps the dead, and respawns replacements for as long as
-      the fleet is up (a persistent service heals; it does not budget);
+      workers, reaps the dead, and respawns replacements under the
+      module's respawn rule and budget, handing every unfinished task to
+      quarantine when no worker is left;
     * :meth:`shutdown` drains gracefully — in-flight leases finish,
       idle workers are released with ``exit`` — and hard-kills whatever
       outlives the grace period.
@@ -789,16 +600,17 @@ class PersistentFleet:
             else RetryPolicy.from_env()
         host, port = parse_bind(bind) if bind is not None \
             else (None, None)
-        self.broker = Broker(self.policy, persistent=True,
-                             host=host, port=port, token=token)
+        self.broker = Broker(self.policy, host=host, port=port,
+                             token=token)
         self.broker.start()
         self._procs: List[_WorkerProc] = []
-        self._procs_lock = threading.Lock()
-        self._spawned = 0
-        self._closed = False
+        self._lock = threading.Lock()
+        self._launches = 0
+        self._submitted = 0
         self._draining = False
+        self._stop = threading.Event()
         self._monitor = threading.Thread(
-            target=self._monitor_loop, name="serve-fleet-monitor",
+            target=self._monitor_loop, name="dispatch-fleet-monitor",
             daemon=True,
         )
         self._monitor.start()
@@ -806,8 +618,10 @@ class PersistentFleet:
     # -- task pump -----------------------------------------------------------
 
     def submit(self, task: TaskSpec) -> None:
-        if self._closed or self._draining:
+        if self._stop.is_set() or self._draining:
             raise RuntimeError("fleet is shutting down")
+        with self._lock:
+            self._submitted += 1
         self.broker.add_task(task)
 
     def poll(self) -> List[TaskResult]:
@@ -827,12 +641,13 @@ class PersistentFleet:
         return [record for _task, record, _dead in done]
 
     def workers_alive(self) -> int:
-        with self._procs_lock:
+        with self._lock:
             return sum(1 for w in self._procs
                        if not w.dead and w.proc.poll() is None)
 
     def workers_spawned(self) -> int:
-        return self._spawned
+        with self._lock:
+            return len(self._procs)
 
     def workers_external(self) -> int:
         """Externally-joined TCP workers currently connected."""
@@ -840,57 +655,77 @@ class PersistentFleet:
 
     # -- monitor -------------------------------------------------------------
 
-    def _spawn(self) -> None:
-        name = f"serve-fleet-{self._spawned}"
+    def _spawn_budget(self) -> int:
+        """Worker launches allowed so far: the initial complement plus
+        one per attempt the submitted tasks may still burn."""
+        with self._lock:
+            return self.jobs + self.policy.max_attempts * self._submitted
+
+    def _spawn(self) -> bool:
+        """Launch one local worker, charging the respawn budget."""
+        name = f"fleet-{self._launches}"
+        self._launches += 1
         self.broker.expect_worker(name)
         proc = _spawn_worker(self.broker.address, name,
                              self.broker.token)
         if proc is None:
-            return
-        self._spawned += 1
-        with self._procs_lock:
+            return False
+        with self._lock:
             self._procs.append(_WorkerProc(name=name, proc=proc))
+        return True
+
+    def _reap(self) -> int:
+        """Mark exited workers dead; returns the live local count."""
+        with self._lock:
+            procs = list(self._procs)
+        live = 0
+        for worker in procs:
+            if worker.dead:
+                continue
+            if worker.proc.poll() is None:
+                live += 1
+                continue
+            worker.dead = True
+            telemetry.inc("repro_dispatch_worker_deaths_total",
+                          help="Fleet workers that exited while the "
+                               "fleet was up.")
+            telemetry.emit("dispatch.worker.death", worker=worker.name,
+                           returncode=worker.proc.returncode)
+        return live
 
     def _monitor_loop(self) -> None:
-        for _ in range(self.jobs):
-            self._spawn()
-        while not self._closed:
+        while True:
             for pid in self.broker.expire_stale():
                 _kill_pid(pid)
-            live = 0
-            with self._procs_lock:
-                procs = list(self._procs)
-            for worker in procs:
-                if worker.dead:
-                    continue
-                if worker.proc.poll() is None:
-                    live += 1
-                    continue
-                worker.dead = True
-                telemetry.inc("repro_dispatch_worker_deaths_total",
-                              help="Fleet workers that exited before "
-                                   "the drain finished.")
-                telemetry.emit("dispatch.worker.death",
-                               worker=worker.name,
-                               returncode=worker.proc.returncode)
-            if not self._draining:
-                while live < self.jobs:
-                    self._spawn()
-                    live += 1
+            live = self._reap()
+            while (not self._draining and live < self.jobs
+                   and self._launches < self._spawn_budget()):
+                if not self._spawn():
+                    break
+                live += 1
+            external = self.broker.external_workers()
+            if self.jobs and live + external == 0 \
+                    and not self.broker.finished():
+                self.broker.fail_unfinished(
+                    "no fleet workers left (spawn failed or budget "
+                    "exhausted); remaining tasks quarantined to the "
+                    "inline path"
+                )
             telemetry.set_gauge("repro_dispatch_workers", live,
                                 help="Live fleet workers (gauge; merges "
                                      "as max across processes).")
             telemetry.set_gauge("repro_dispatch_external_workers",
-                                self.broker.external_workers(),
+                                external,
                                 help="Externally-joined TCP workers "
                                      "currently connected (gauge).")
-            time.sleep(_TICK_S)
+            if self._stop.wait(_TICK_S):
+                return
 
     # -- teardown ------------------------------------------------------------
 
     def shutdown(self, grace_s: float = 10.0) -> None:
         """Graceful drain, then hard stop.  Idempotent."""
-        if self._closed:
+        if self._stop.is_set():
             return
         self._draining = True
         self.broker.begin_drain()
@@ -899,10 +734,10 @@ class PersistentFleet:
             if self.broker.idle() and self.workers_alive() == 0:
                 break
             time.sleep(_TICK_S)
-        self._closed = True
+        self._stop.set()
         self._monitor.join(timeout=2.0)
         self.broker.close()
-        with self._procs_lock:
+        with self._lock:
             procs = list(self._procs)
         for worker in procs:
             if worker.dead or worker.proc.poll() is not None:
@@ -921,6 +756,74 @@ class PersistentFleet:
                 except subprocess.TimeoutExpired:
                     pass
             worker.dead = True
+
+
+class FleetExecutor:
+    """The registered ``fleet`` executor: a :class:`PersistentFleet`
+    drained once.
+
+    :meth:`submit` only queues.  :meth:`drain` starts a fleet of
+    ``min(jobs, tasks)`` workers, submits every task, collects each one
+    as it comes back, shuts the fleet down, and only then quarantines
+    the exhausted tasks inline, in submission order — so the first
+    failing quarantine skips every later one across the whole batch,
+    as the executor contract requires (:meth:`PersistentFleet.poll`
+    quarantines per poll instead).
+    """
+
+    name = "fleet"
+
+    def __init__(self, jobs: Optional[int] = None,
+                 policy: Optional[RetryPolicy] = None) -> None:
+        self.jobs = max(1, jobs if jobs is not None
+                        else (os.cpu_count() or 1))
+        self.policy = policy if policy is not None \
+            else RetryPolicy.from_env()
+        self._tasks: List[TaskSpec] = []
+
+    def submit(self, task: TaskSpec) -> None:
+        self._tasks.append(task)
+
+    def drain(self) -> List[TaskResult]:
+        tasks, self._tasks = self._tasks, []
+        if not tasks:
+            return []
+        policy = self.policy
+        # Every task can burn its whole attempt budget plus backoff and
+        # still finish; past this the drain machinery itself is declared
+        # wedged and the run completes through quarantine.
+        per_task = max(t.effective_timeout(policy) for t in tasks)
+        hard_deadline = time.monotonic() + 30.0 + (
+            policy.max_attempts
+            * (per_task + policy.backoff_cap_s
+               + policy.heartbeat_timeout_s)
+        )
+        done: Dict[str, Tuple[TaskResult, bool]] = {}
+        fleet = PersistentFleet(min(self.jobs, len(tasks)), policy)
+        try:
+            for task in tasks:
+                fleet.submit(task)
+            while True:
+                for task, record, exhausted in \
+                        fleet.broker.take_completed():
+                    done[task.id] = (record, exhausted)
+                if len(done) == len(tasks):
+                    break
+                if time.monotonic() > hard_deadline:
+                    fleet.broker.fail_unfinished(
+                        "fleet drain hit its hard deadline; remaining "
+                        "tasks quarantined to the inline path"
+                    )
+                    continue
+                time.sleep(_TICK_S)
+        finally:
+            fleet.shutdown(grace_s=0.0)
+        quarantine_inline([(task, done[task.id][0]) for task in tasks
+                           if done[task.id][1]], policy)
+        return [done[task.id][0] for task in tasks]
+
+    def shutdown(self) -> None:
+        self._tasks = []
 
 
 __all__ = ["Broker", "ENV_BIND", "ENV_TOKEN", "FleetExecutor",

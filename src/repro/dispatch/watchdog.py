@@ -1,9 +1,9 @@
 """Wall-clock deadlines for in-parent task attempts.
 
-Out-of-process attempts are bounded by the broker/pool (which can expire
-a lease or abandon a future and, for the fleet, SIGKILL the worker).
-In-parent attempts — the inline executor and the quarantine fallback —
-have no supervisor, so this module gives them one:
+Out-of-process attempts are bounded by the fleet broker (which can
+expire a lease and SIGKILL the worker).  In-parent attempts — the
+inline executor and the quarantine fallback — have no supervisor, so
+this module gives them one:
 
 * :func:`cell_deadline` arms a real wall-clock timer (``SIGALRM``) around
   the attempt.  If it expires, the cell raises a structured

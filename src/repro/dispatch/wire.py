@@ -3,8 +3,8 @@ link.
 
 The broker and its workers are the same codebase on the same host
 (workers are spawned as ``python -m repro.dispatch.worker``), so pickle
-is the natural payload encoding — the same objects the pool executor
-already ships through ``ProcessPoolExecutor``.  Frames are ``>I`` length
+is the natural payload encoding — task functions pickle by reference,
+exactly as ``multiprocessing`` would ship them.  Frames are ``>I`` length
 + pickle bytes; task payloads and result values are pickled *separately*
 from the envelope, so a fault-corrupted result payload fails to decode
 without desynchronizing the stream.

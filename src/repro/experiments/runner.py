@@ -12,11 +12,11 @@ Central plumbing for every figure/table reproduction:
   Approach-1 branch switching / OPP16 / Compress / OPP16+CritIC) are
   expressed as compiler pipelines over the same program + walk;
 * :func:`run_apps` fans the app x config grid out through a registered
-  *execution backend* (:data:`repro.registry.EXECUTORS` — ``inline``,
-  ``pool``, or the socket-broker ``fleet``; selected by ``executor=``,
-  ``REPRO_EXECUTOR``, or the sweep CLI's ``--executor``) sized by
-  ``REPRO_JOBS``, and seeds the in-process memo with the results, so
-  figure modules stay simple serial loops;
+  *execution backend* (:data:`repro.registry.EXECUTORS` — ``inline`` or
+  the socket-broker ``fleet``, the default; selected by ``executor=`` or
+  the sweep CLI's ``--executor``) sized by ``REPRO_JOBS``, and seeds
+  the in-process memo with the results, so figure modules stay simple
+  serial loops;
 * workers report their telemetry (phase timers, counters, span trees)
   back with their results — spooled to temp files when a worker
   crashes — so ``REPRO_PERF=1`` totals are fleet-wide; retried attempts'
@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro import telemetry
 from repro.cache import artifact_key, get_cache
 from repro.dispatch import (
-    ENV_EXECUTOR,
     ENV_FAULTS,
     DispatchReport,
     RetryPolicy,
@@ -514,7 +513,7 @@ def _batch_manifest_block() -> Optional[Dict[str, object]]:
     merged metrics registry.
 
     ``repro.cpu.batch.last_batch_report()`` is process-local — under the
-    pool/fleet executors the interesting report lives (and dies) in a
+    fleet executor the interesting report lives (and dies) in a
     worker.  The ``repro_batch_*`` metric families ride each worker's
     result snapshot back to the parent with exactly-once merge
     semantics, so aggregating *them* here yields fleet-wide group
@@ -587,12 +586,12 @@ def run_apps(apps: Sequence[str],
     fanned out through a registered execution backend
     (:data:`repro.registry.EXECUTORS`) with ``jobs`` workers (default:
     ``REPRO_JOBS`` or the CPU count).  The backend is chosen by the
-    ``executor`` argument, else ``REPRO_EXECUTOR``, else ``pool``; an
-    effective worker count of 1 always runs ``inline``.  Whatever the
-    backend — and whatever faults ``REPRO_DISPATCH_FAULTS`` injects into
-    a fleet — the returned stats are bit-identical: failed attempts are
-    retried with backoff, poison cells quarantine to the inline path,
-    and every attempt is recorded in the run manifest.  Results land
+    ``executor`` argument, else ``fleet``; an effective worker count of
+    1 always runs ``inline``.  Whatever the backend — and whatever
+    faults ``REPRO_DISPATCH_FAULTS`` injects into a fleet — the returned
+    stats are bit-identical: failed attempts are retried with backoff,
+    poison cells quarantine to the inline path, and every attempt is
+    recorded in the run manifest.  Results land
     both in the returned mapping (``app -> (scheme, config.name) ->
     SimStats``) and in the per-app in-process memos, so subsequent
     ``ctx.stats(...)`` calls made by figure modules are hits.
@@ -691,13 +690,12 @@ def _run_apps_grid(
     workers = jobs if jobs is not None else default_jobs()
     workers = min(max(1, workers), len(todo))
 
-    backend = (executor or os.environ.get(ENV_EXECUTOR, "")).strip() \
-        or "pool"
+    backend = (executor or "").strip() or "fleet"
     EXECUTORS.entry(backend)  # unknown names fail loudly, did-you-mean
     if workers == 1:
         # A single worker is the serial path by definition; the inline
         # executor keeps it deterministic and process-free regardless of
-        # which backend the environment asked for.
+        # which backend the caller asked for.
         backend = "inline"
 
     def _absorb(name: str, config_name: str,

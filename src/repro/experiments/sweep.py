@@ -77,7 +77,8 @@ class SweepSpec:
     walk_blocks: Optional[int] = None
     jobs: Optional[int] = None
     #: execution backend, by :data:`~repro.registry.EXECUTORS` name
-    #: (``None`` defers to ``REPRO_EXECUTOR`` / the runner default)
+    #: (``None`` means the runner default: ``fleet``, or ``inline``
+    #: for one job)
     executor: Optional[str] = None
     #: simulation engine, by :data:`~repro.registry.SIMULATORS` name
     #: (``None`` defers to ``REPRO_SIM_ENGINE`` / ``inline``); engines
@@ -335,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel worker count (default REPRO_JOBS "
                              "or the CPU count)")
     parser.add_argument("--executor", default=None, metavar="NAME",
-                        help="execution backend: inline, pool, or fleet "
-                             "(default REPRO_EXECUTOR or pool)")
+                        help="execution backend: inline or fleet "
+                             "(default fleet; one job always runs "
+                             "inline)")
     parser.add_argument("--engine", default=None, metavar="NAME",
                         help="simulation engine: inline or batch "
                              "(default REPRO_SIM_ENGINE or inline; "
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "local:/root, remote:HOST:PORT, or "
                              "tiered:HOST:PORT (default "
                              "REPRO_CACHE_BACKEND or local); exported "
-                             "to the environment so pool/fleet workers "
+                             "to the environment so fleet workers "
                              "inherit it")
     parser.add_argument("--progress", action="store_true",
                         help="render a live progress line (cells done/"
@@ -414,7 +416,7 @@ def _run_with_progress(spec: SweepSpec) -> SweepResult:
 
     When ``REPRO_EVENTS`` is already set the renderer tails that log;
     otherwise a temporary event log is wired up (exported through the
-    environment so pool/fleet workers inherit it) and removed after the
+    environment so fleet workers inherit it) and removed after the
     final summary line.
     """
     import tempfile

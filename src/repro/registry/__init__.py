@@ -19,7 +19,7 @@ registry                    components (built-ins)
                             ``perfect_branch``)
 :data:`ICACHE_POLICIES`     ``lru``, ``trrip`` (temperature-based RRIP)
 :data:`PREFETCHERS`         ``clpt``, ``efetch``, ``critical-nextline``
-:data:`EXECUTORS`           ``inline``, ``pool``, ``fleet`` (execution
+:data:`EXECUTORS`           ``inline``, ``fleet`` (execution
                             backends for the sweep engine; see
                             :mod:`repro.dispatch`)
 :data:`SIMULATORS`          ``inline``, ``batch`` (cycle-simulation

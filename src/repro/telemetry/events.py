@@ -12,7 +12,7 @@ fault-injected runs, and the ``repro.serve`` request log.
 
 Enable by pointing ``REPRO_EVENTS`` at a file path (``REPRO_EVENTS=0``
 explicitly disables, useful to mask an inherited setting).  Every
-process in a run — the parent, pool workers, fleet workers, a
+process in a run — the parent, fleet workers, a
 ``repro.serve`` instance and its fleet (they inherit the environment) —
 appends to the same file.  Each record is encoded to one ``bytes`` line
 and written with a **single** ``os.write()`` on a raw

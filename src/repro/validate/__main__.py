@@ -61,8 +61,8 @@ def main(argv=None) -> int:
                         help="skip the in-order differential oracle")
     parser.add_argument("--dispatch", action="store_true",
                         help="end the fuzz campaign with the dispatch "
-                             "metamorphic (same grid under inline/pool/"
-                             "fleet-with-faults must agree bitwise)")
+                             "metamorphic (same grid under inline, fleet "
+                             "and fleet-with-faults must agree bitwise)")
     parser.add_argument("--engine", action="store_true",
                         help="end the fuzz campaign with the engine "
                              "metamorphic (same grid under the inline "

@@ -28,7 +28,7 @@ must hold between runs regardless of the absolute numbers:
   alignment/pollution noise: its fills install lines ahead of the fetch
   stream, they never count as demand accesses.
 * **Dispatch equivalence** — one grid, run once per execution backend
-  (``inline``, ``pool``, and ``fleet`` with seeded fault injection
+  (``inline``, ``fleet``, and ``fleet`` with seeded fault injection
   active), must produce identical ``SimStats`` for every cell *and*
   identical manifest ``config_hash`` values: how cells were executed —
   including how many workers were SIGKILLed along the way — is
@@ -296,18 +296,18 @@ DISPATCH_FAULTS = "kill:0.35,drop:0.25,corrupt:0.2;seed={seed}"
 
 def dispatch_metamorphic(rng: random.Random, result: FuzzResult,
                          walk_blocks: int = 80) -> ValidationReport:
-    """One grid, three execution backends, bitwise-identical results.
+    """One grid, three execution legs, bitwise-identical results.
 
-    Runs the same app x scheme x config grid under ``inline``, ``pool``,
-    and ``fleet`` — the fleet leg with seeded fault injection killing and
-    corrupting workers — each against its own throwaway artifact cache,
-    then demands identical :class:`SimStats` for every cell and an
-    identical manifest ``config_hash``: execution provenance (executor,
-    attempts, retries, quarantines) must never leak into results or
-    cache identity.
+    Runs the same app x scheme x config grid under ``inline``, a
+    fault-free ``fleet``, and a ``fleet`` with seeded fault injection
+    killing and corrupting workers — each leg keyed by its label and run
+    against its own throwaway artifact cache, then demands identical
+    :class:`SimStats` for every cell and an identical manifest
+    ``config_hash``: execution provenance (executor, attempts, retries,
+    quarantines) must never leak into results or cache identity.
     """
     from repro.cache import ENV_DIR, ENV_ENABLE, reset_cache
-    from repro.dispatch import ENV_EXECUTOR, ENV_FAULTS
+    from repro.dispatch import ENV_FAULTS
     from repro.experiments import runner
     from repro.telemetry.manifest import LAST_RUN, load_manifest, \
         manifest_dir
@@ -316,28 +316,30 @@ def dispatch_metamorphic(rng: random.Random, result: FuzzResult,
     app = rng.choice(sorted(ALL_PROFILES)[:8])
     scheme = rng.choice(["hoist", "critic", "opp16"])
     faults = DISPATCH_FAULTS.format(seed=rng.randrange(1, 1 << 16))
-    legs: List[Tuple[str, Optional[str]]] = [
-        ("inline", None), ("pool", None), ("fleet", faults),
+    # (label, executor, fault spec)
+    legs: List[Tuple[str, str, Optional[str]]] = [
+        ("inline", "inline", None),
+        ("fleet", "fleet", None),
+        ("faulted-fleet", "fleet", faults),
     ]
     grids: Dict[str, Dict] = {}
     hashes: Dict[str, str] = {}
     reports: Dict[str, Optional[Dict]] = {}
     saved = {name: os.environ.get(name)
-             for name in (ENV_DIR, ENV_ENABLE, ENV_EXECUTOR, ENV_FAULTS)}
+             for name in (ENV_DIR, ENV_ENABLE, ENV_FAULTS)}
     try:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-dispatch-") \
                 as root:
-            for backend, fault_spec in legs:
+            for label, backend, fault_spec in legs:
                 os.environ[ENV_ENABLE] = "1"
-                os.environ[ENV_DIR] = os.path.join(root, backend)
-                os.environ.pop(ENV_EXECUTOR, None)
+                os.environ[ENV_DIR] = os.path.join(root, label)
                 if fault_spec:
                     os.environ[ENV_FAULTS] = fault_spec
                 else:
                     os.environ.pop(ENV_FAULTS, None)
                 reset_cache()
                 runner.clear_cache()
-                grids[backend] = runner.run_apps(
+                grids[label] = runner.run_apps(
                     [app], schemes=("baseline", scheme), jobs=2,
                     configs=(GOOGLE_TABLET, config_4x_icache()),
                     walk_blocks=walk_blocks, executor=backend,
@@ -345,8 +347,8 @@ def dispatch_metamorphic(rng: random.Random, result: FuzzResult,
                 result.simulations += 4
                 manifest = load_manifest(
                     str(manifest_dir() / LAST_RUN))
-                hashes[backend] = manifest["config_hash"]
-                reports[backend] = manifest.get("dispatch")
+                hashes[label] = manifest["config_hash"]
+                reports[label] = manifest.get("dispatch")
     finally:
         for name, value in saved.items():
             if value is None:
@@ -356,22 +358,22 @@ def dispatch_metamorphic(rng: random.Random, result: FuzzResult,
         reset_cache()
         runner.clear_cache()
 
-    for backend, _ in legs[1:]:
+    for label, _backend, fault_spec in legs[1:]:
         _meta(
-            report, result, grids[backend] == grids["inline"],
+            report, result, grids[label] == grids["inline"],
             "meta_dispatch_stats",
-            f"{backend} executor changed SimStats for {app}/{scheme} "
-            f"(faults={faults if backend == 'fleet' else None!r})",
-            backend=backend,
+            f"{label} leg changed SimStats for {app}/{scheme} "
+            f"(faults={fault_spec!r})",
+            leg=label,
         )
         _meta(
-            report, result, hashes[backend] == hashes["inline"],
+            report, result, hashes[label] == hashes["inline"],
             "meta_dispatch_manifest",
-            f"{backend} executor changed the manifest config_hash: "
-            f"{hashes[backend]} vs inline {hashes['inline']}",
-            backend=backend,
+            f"{label} leg changed the manifest config_hash: "
+            f"{hashes[label]} vs inline {hashes['inline']}",
+            leg=label,
         )
-    fleet = reports["fleet"] or {}
+    fleet = reports["faulted-fleet"] or {}
     _meta(
         report, result, fleet.get("executor") == "fleet@1",
         "meta_dispatch_manifest",
@@ -599,7 +601,8 @@ def run_fuzz(
         result.iterations += 1
         if progress is not None:
             status = "ok" if report.ok else "FAIL"
-            progress(f"[dispatch] inline/pool/fleet equivalence: {status}")
+            progress(f"[dispatch] inline/fleet/faulted-fleet equivalence: "
+                     f"{status}")
     if engines:
         report = engine_metamorphic(rng, result,
                                     walk_blocks=min(walk_blocks, 80))

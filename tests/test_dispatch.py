@@ -9,6 +9,8 @@ fault injector and still produce correct results.
 
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -27,19 +29,10 @@ from repro.dispatch import (
     cell_deadline,
 )
 from repro.dispatch.faults import KINDS, corrupt_bytes
+from repro.dispatch import fleet as fleet_mod
 from repro.dispatch.fleet import FleetExecutor
 from repro.dispatch.inline import InlineExecutor
-from repro.dispatch.pool import PoolExecutor
 from repro.registry import EXECUTORS
-
-
-def _pool_available() -> bool:
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(int, "7").result() == 7
-    except Exception:
-        return False
 
 
 # -- module-level task bodies (pickled by reference into workers) -------------
@@ -237,45 +230,6 @@ class TestInlineExecutor:
             results[0].raise_error()
 
 
-class TestPoolExecutor:
-    pytestmark = pytest.mark.skipif(
-        not _pool_available(), reason="process pool unavailable")
-
-    def test_batch_matches_inline(self):
-        ex = PoolExecutor(jobs=2, policy=FAST)
-        for i in range(4):
-            ex.submit(TaskSpec(id=f"t{i}", fn=_double, args=(i,)))
-        results = ex.drain()
-        ex.shutdown()
-        assert [r.value for r in results] == [0, 2, 4, 6]
-        assert all(r.ok and not r.quarantined for r in results)
-
-    def test_retry_fixes_flaky_task(self, tmp_path):
-        ex = PoolExecutor(jobs=2, policy=FAST)
-        marker = str(tmp_path / "flaky-marker")
-        ex.submit(TaskSpec(id="flaky", fn=_flaky, args=(marker, 99)))
-        results = ex.drain()
-        ex.shutdown()
-        assert results[0].ok
-        assert results[0].value == 99
-        assert results[0].retries == 1
-        assert [a.outcome for a in results[0].attempts] == ["error", "ok"]
-
-    def test_poison_task_quarantines_with_original_error(self):
-        ex = PoolExecutor(jobs=2, policy=FAST)
-        ex.submit(TaskSpec(id="poison", fn=_boom, args=(7,)))
-        results = ex.drain()
-        ex.shutdown()
-        result = results[0]
-        assert result.quarantined
-        assert not result.ok
-        # max_attempts in the pool, then the inline quarantine attempt.
-        assert len(result.attempts) == FAST.max_attempts + 1
-        assert result.attempts[-1].worker == "inline"
-        with pytest.raises(ValueError, match="exploded on 7"):
-            result.raise_error()
-
-
 class TestFleetExecutor:
     def _drain(self, tasks, policy=FAST, jobs=2, faults=None,
                monkeypatch=None):
@@ -299,6 +253,18 @@ class TestFleetExecutor:
         assert all(r.ok and not r.quarantined for r in results)
         assert all(a.worker.startswith("fleet-")
                    for r in results for a in r.attempts)
+
+    def test_retry_fixes_flaky_task(self, tmp_path):
+        """A failed attempt that a retry genuinely fixes: the marker
+        file carries the first attempt's failure across processes."""
+        marker = str(tmp_path / "flaky-marker")
+        results = self._drain([TaskSpec(id="flaky", fn=_flaky,
+                                        args=(marker, 99))])
+        assert results[0].ok
+        assert results[0].value == 99
+        assert results[0].retries == 1
+        assert not results[0].quarantined
+        assert [a.outcome for a in results[0].attempts] == ["error", "ok"]
 
     def test_kill_fault_requeues_and_quarantines(self, monkeypatch):
         policy = RetryPolicy(timeout_s=30.0, max_attempts=2,
@@ -360,6 +326,64 @@ class TestFleetExecutor:
         with pytest.raises(ValueError, match="exploded on 3"):
             result.raise_error()
 
+    def test_poison_task_quarantines_with_original_error(self):
+        results = self._drain([TaskSpec(id="poison", fn=_boom, args=(7,))])
+        result = results[0]
+        assert result.quarantined
+        assert not result.ok
+        # max_attempts on the fleet, then the inline quarantine attempt.
+        assert len(result.attempts) == FAST.max_attempts + 1
+        assert result.attempts[-1].worker == "inline"
+        with pytest.raises(ValueError, match="exploded on 7"):
+            result.raise_error()
+
+
+def _worker_exits_at_once(address, name, token=""):
+    """Stand-in for the worker launcher: a process that dies before it
+    ever reaches the broker."""
+    return subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+
+
+class TestFleetDegraded:
+    """A fleet that cannot keep any worker alive still returns every
+    task, with its value, through inline quarantine in bounded time —
+    the respawn budget and the no-workers exit end the fleet attempt."""
+
+    @pytest.mark.parametrize("spawn", [
+        _worker_exits_at_once,
+        lambda address, name, token="": None,
+    ], ids=["workers-exit-at-once", "spawn-fails"])
+    def test_drain_quarantines_every_task(self, monkeypatch, spawn):
+        monkeypatch.delenv("REPRO_DISPATCH_FAULTS", raising=False)
+        monkeypatch.setattr(fleet_mod, "_spawn_worker", spawn)
+        handed = {}
+        real_quarantine = fleet_mod.quarantine_inline
+
+        def _spy(tasks, policy):
+            handed.update({task.id: result.error for task, result in tasks})
+            return real_quarantine(tasks, policy)
+
+        monkeypatch.setattr(fleet_mod, "quarantine_inline", _spy)
+        ex = FleetExecutor(jobs=2, policy=FAST)
+        for i in range(3):
+            ex.submit(TaskSpec(id=f"t{i}", fn=_double, args=(i,)))
+        started = time.monotonic()
+        try:
+            results = ex.drain()
+        finally:
+            ex.shutdown()
+        assert time.monotonic() - started < 30.0
+        assert [r.task_id for r in results] == ["t0", "t1", "t2"]
+        assert [r.value for r in results] == [0, 2, 4]
+        for result in results:
+            assert result.ok and result.quarantined
+            assert [(a.worker, a.outcome) for a in result.attempts] \
+                == [("inline", "ok")]
+        # Every task reached quarantine naming why the fleet gave up.
+        assert set(handed) == {"t0", "t1", "t2"}
+        assert all("no fleet workers left" in reason
+                   for reason in handed.values()), handed
+
 
 class TestDispatchReport:
     def test_to_dict_aggregates(self):
@@ -396,7 +420,7 @@ class TestDispatchReport:
 
 class TestDispatchMetamorphic:
     def test_grid_identical_across_backends(self):
-        """The fuzzer's dispatch property: one grid under inline, pool,
+        """The fuzzer's dispatch property: one grid under inline, fleet,
         and fleet-with-faults produces identical SimStats and identical
         manifest config hashes."""
         import random
@@ -412,9 +436,9 @@ class TestDispatchMetamorphic:
 
 class TestExecutorRegistry:
     def test_builtins_registered(self):
-        assert set(EXECUTORS.names()) >= {"inline", "pool", "fleet"}
+        assert set(EXECUTORS.names()) == {"inline", "fleet"}
         assert EXECUTORS.identity("fleet") == "fleet@1"
-        for name in ("inline", "pool", "fleet"):
+        for name in ("inline", "fleet"):
             ex = EXECUTORS.create(name, jobs=1, policy=FAST)
             assert ex.name == name
             ex.shutdown()

@@ -1,13 +1,12 @@
 """Cross-process telemetry: worker snapshots must reach the parent.
 
-Regression tests for the PR-1 parallel runner silently dropping
-telemetry phases/counters recorded inside ``ProcessPoolExecutor``
-workers: fleet totals (e.g. ``simulate`` call counts) must match the
-serial run's, and even a *crashing* worker's telemetry must be recovered
-through the temp-file spool channel.  With execution now behind the
-``EXECUTORS`` registry, the same exactly-once discipline is asserted for
-every backend — including a fleet whose workers are being killed by the
-fault injector mid-sweep.
+Regression tests for the parallel runner silently dropping telemetry
+phases/counters recorded inside worker processes: fleet totals (e.g.
+``simulate`` call counts) must match the serial run's, and even a
+*crashing* worker's telemetry must be recovered through the temp-file
+spool channel.  With execution behind the ``EXECUTORS`` registry, the
+same exactly-once discipline is asserted for the fleet — including a
+fleet whose workers are being killed by the fault injector mid-sweep.
 """
 
 import time
@@ -31,7 +30,7 @@ WALK = 120
 
 def _exploding_recipe(ctx, max_length, profiled_fraction):
     """Touch the workload (a real `generate` phase) and then blow up —
-    module-level so forked pool workers can unpickle the AppContext that
+    module-level so fleet workers can unpickle the AppContext that
     references it."""
     ctx.workload
     raise ValueError("scheme recipe exploded (test crash injection)")
@@ -72,7 +71,7 @@ class TestWorkerMerge:
         assert serial_calls == len(APPS)
         serial_counters = telemetry.counters()
 
-        # Fresh everything, then the same grid through the pool.
+        # Fresh everything, then the same grid through the fleet.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
         reset_cache()
         clear_cache()
@@ -80,9 +79,7 @@ class TestWorkerMerge:
         results = run_apps(APPS, ("baseline",), jobs=2, walk_blocks=WALK)
         assert all(results[name] for name in APPS)
 
-        phases = telemetry.phase_stats()
-        if "run_apps.parallel" not in phases:
-            pytest.skip("process pool unavailable; serial fallback ran")
+        assert "run_apps.parallel" in telemetry.phase_stats()
         assert _simulate_calls() == serial_calls
         merged = telemetry.counters()
         for name, value in serial_counters.items():
@@ -94,39 +91,6 @@ class TestWorkerMerge:
         stats = telemetry.phase_stats()
         assert stats.get("simulate", {}).get("total_s", 0.0) > 0.0
         assert stats.get("generate", {}).get("calls", 0) >= len(APPS)
-
-    def test_crashed_worker_totals_match_serial(self, tmp_path,
-                                                monkeypatch):
-        """A scheme recipe that raises *after* real work (generate) makes
-        every worker crash mid-cell.  Crashed cells are retried serially,
-        so their spooled snapshots must be *discarded* — merging them on
-        top of the retry's telemetry double-counted the cell's work (the
-        PR-3 regression).  Totals must match a plain serial run."""
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                assert pool.submit(int, "7").result() == 7
-        except Exception:
-            pytest.skip("process pool unavailable on this machine")
-
-        with SCHEME_RECIPES.scoped("explode-after-work", _exploding_recipe):
-            with pytest.raises(ValueError, match="recipe exploded"):
-                run_apps(APPS, ("explode-after-work",), jobs=1,
-                         walk_blocks=WALK)
-            serial_calls = \
-                telemetry.phase_stats().get("generate", {}).get("calls", 0)
-            assert serial_calls >= 1
-
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
-            reset_cache()
-            clear_cache()
-            telemetry.reset()
-            with pytest.raises(ValueError, match="recipe exploded"):
-                run_apps(APPS, ("explode-after-work",), jobs=2,
-                         walk_blocks=WALK)
-            parallel_calls = \
-                telemetry.phase_stats().get("generate", {}).get("calls", 0)
-            assert parallel_calls == serial_calls
 
     def test_unknown_scheme_fails_fast_with_suggestion(self):
         """A typo'd scheme now fails in the probe, before any generation,
@@ -155,7 +119,7 @@ class TestPerExecutorTelemetry:
         telemetry.reset()
         return reference
 
-    @pytest.mark.parametrize("executor", ["pool", "fleet"])
+    @pytest.mark.parametrize("executor", ["fleet"])
     def test_simulate_counts_match_serial(self, tmp_path, monkeypatch,
                                           executor):
         serial = self._serial_reference(tmp_path, monkeypatch,
@@ -167,8 +131,6 @@ class TestPerExecutorTelemetry:
         assert report is not None
         assert report.executor == f"{executor}@1"
         phases = telemetry.phase_stats()
-        if executor == "pool" and "run_apps.parallel" not in phases:
-            pytest.skip("process pool unavailable; degraded path ran")
         for phase in ("simulate", "generate"):
             assert phases.get(phase, {}).get("calls", 0) \
                 == serial.get(phase, {}).get("calls", 0), phase
@@ -204,7 +166,7 @@ class TestPerExecutorTelemetry:
             assert phases.get(phase, {}).get("calls", 0) \
                 == serial.get(phase, {}).get("calls", 0), phase
 
-    @pytest.mark.parametrize("executor", ["pool", "fleet"])
+    @pytest.mark.parametrize("executor", ["fleet"])
     def test_crashed_worker_totals_match_serial(self, tmp_path,
                                                 monkeypatch, executor):
         """The exploding-recipe regression, per backend: every remote
