@@ -10,9 +10,8 @@ JSON and stores it through a narrow :class:`CacheBackend`:
 
       $REPRO_CACHE_DIR/v<SCHEMA_VERSION>/<kind>/<hh>/<hash>.<ext>
 
-  (default root ``~/.cache/repro``), byte-identical to every previous
-  schema-v3 cache, written atomically (tmp file + ``os.replace``) so
-  concurrent runners never observe torn files.
+  (default root ``~/.cache/repro``), written atomically (tmp file +
+  ``os.replace``) so concurrent runners never observe torn files.
 * ``remote`` (:class:`RemoteBackend`) — a read-through client that
   fetches blobs from a ``repro.serve`` cache endpoint over the
   :mod:`repro.dispatch.wire` framing and writes them back into the
@@ -75,7 +74,9 @@ from repro.trace.trace_io import dump_trace, load_trace
 #: versioned component identities (``critic@1``, ``two-level@1``, ...)
 #: and SimStats gained ``component_counters``; the key-record shape
 #: changed for every scheme trace and stats artifact.
-SCHEMA_VERSION = 3
+#: v4: trace artifacts moved to the columnar ``repro-trace v2`` text
+#: format (:mod:`repro.trace.trace_io`), which keeps no v1 reader.
+SCHEMA_VERSION = 4
 
 ENV_DIR = "REPRO_CACHE_DIR"
 ENV_ENABLE = "REPRO_CACHE"

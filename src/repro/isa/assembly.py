@@ -17,12 +17,12 @@ unambiguous.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.condition import Cond
 from repro.isa.instruction import Encoding, Instruction
 from repro.isa.opcodes import Opcode, opcode_info
+from repro.isa.registers import LR, NUM_REGISTERS, PC, SP
 
 #: Opcodes that write no destination register.  BL is not here: it writes
 #: the link register (and renders it as its destination operand).
@@ -45,40 +45,45 @@ def dest_count(opcode: Opcode) -> int:
     return 0 if opcode in _ZERO_DEST else 1
 
 
-_REG_RE = re.compile(r"^(R(\d+)|SP|LR|PC)$")
-_SPECIAL = {"SP": 13, "LR": 14, "PC": 15}
+#: Register operand -> index: ``R0``..``R15`` and the SP/LR/PC aliases.
+_REGISTERS = {f"R{n}": n for n in range(NUM_REGISTERS)}
+_REGISTERS.update(SP=SP, LR=LR, PC=PC)
 
-# Longest-first so e.g. "LDRB" is not parsed as "LDR" + cond "B…".
-_MNEMONICS = sorted((op.value for op in Opcode), key=len, reverse=True)
-_CONDS = {c.value for c in Cond if c is not Cond.AL}
+
+def _mnemonic_table() -> Dict[str, Tuple[Opcode, Cond]]:
+    """Every ``<opcode><cond>`` word, ``AL`` spelled with no suffix.
+
+    Longest opcode first wins a clash, so e.g. "LDRB" is not parsed as
+    "LDR" + cond "B…".
+    """
+    table: Dict[str, Tuple[Opcode, Cond]] = {}
+    for opcode in sorted(Opcode, key=lambda op: len(op.value), reverse=True):
+        for cond in Cond:
+            suffix = "" if cond is Cond.AL else cond.value
+            table.setdefault(opcode.value + suffix, (opcode, cond))
+    return table
+
+
+_MNEMONIC_TABLE = _mnemonic_table()
 
 
 class AsmError(ValueError):
     """Raised when a line cannot be parsed as an instruction."""
 
 
-def _parse_register(token: str) -> Optional[int]:
-    match = _REG_RE.match(token)
-    if not match:
-        return None
-    if token in _SPECIAL:
-        return _SPECIAL[token]
-    return int(match.group(2))
-
-
 def _split_mnemonic(word: str) -> Tuple[Opcode, Cond]:
-    for mnemonic in _MNEMONICS:
-        if word == mnemonic:
-            return Opcode(mnemonic), Cond.AL
-        if word.startswith(mnemonic):
-            suffix = word[len(mnemonic):]
-            if suffix in _CONDS:
-                return Opcode(mnemonic), Cond(suffix)
-    raise AsmError(f"unknown mnemonic {word!r}")
+    try:
+        return _MNEMONIC_TABLE[word]
+    except KeyError:
+        raise AsmError(f"unknown mnemonic {word!r}") from None
 
 
-def parse_line(line: str) -> Instruction:
-    """Parse one assembler line into an :class:`Instruction`.
+def parse_line(line: str, uid: int = -1) -> Instruction:
+    """Parse one assembler line into an :class:`Instruction` with ``uid``.
+
+    The uid is not part of the text form; passing it here builds (and
+    validates) the instruction once instead of copying it with
+    ``with_uid``.
 
     Raises:
         AsmError: on any syntax problem.
@@ -104,7 +109,7 @@ def parse_line(line: str) -> Instruction:
     for token in operands:
         if not token:
             raise AsmError(f"empty operand in {line!r}")
-        reg = _parse_register(token)
+        reg = _REGISTERS.get(token)
         if reg is not None:
             regs.append(reg)
         elif token.startswith("#"):
@@ -122,7 +127,7 @@ def parse_line(line: str) -> Instruction:
         if opcode is Opcode.BL else dest_count(opcode)
     if len(regs) < n_dest:
         raise AsmError(f"{opcode.value} needs {n_dest} destination register(s)")
-    instr = Instruction(
+    return Instruction(
         opcode=opcode,
         dests=tuple(regs[:n_dest]),
         srcs=tuple(regs[n_dest:]),
@@ -131,8 +136,8 @@ def parse_line(line: str) -> Instruction:
         target=target,
         encoding=encoding,
         cdp_cover=cdp_cover,
+        uid=uid,
     )
-    return instr
 
 
 def parse_program_text(text: str) -> List[Instruction]:

@@ -2,44 +2,99 @@
 
 The paper's profiling flow instruments the QEMU disassembler to "output the
 trace of instructions executed and data accessed" for offline analysis
-(Sec. III-C).  This module is that interchange format: one tab-separated
-line per dynamic instruction —
+(Sec. III-C).  This module is that interchange format, ``repro-trace v2``.
+A dynamic stream repeats a few thousand static instructions across tens of
+thousands of entries, so the file is columnar: each static instruction is
+written once, and the dynamic stream is three packed columns::
 
-    seq <TAB> uid <TAB> pc-hex <TAB> mem-hex|- <TAB> taken|-|T|N <TAB> asm
+    # repro-trace v2
+    # name=<trace name>
+    # program=<program name>
+    # statics=<S>
+    # entries=<N>
+    # seq0=<seq of the first entry>
+    uid <TAB> pc-hex <TAB> asm        S lines, in first-occurrence order
+    i <index>,<index>,...             N static indices, comma-separated
+    m <mem-hex|->,<mem-hex|->,...     N memory addresses, '-' for none
+    t <T|N|-><T|N|->...               N chars: taken, not taken, no branch
 
-The assembly column round-trips through :mod:`repro.isa.assembly`, so a
-dumped trace reloads without needing the generating program.
+A static is one distinct ``(instruction, pc)`` pair.  Its assembly column
+round-trips through :mod:`repro.isa.assembly`, so a dumped trace reloads
+without the generating program, and the loader builds one
+:class:`~repro.isa.instruction.Instruction` per static that all of its
+occurrences share — exactly as a materialized trace shares the program's
+objects (the simulator's per-``id(instr)`` static-info memos rely on that
+identity).  Entry ``k`` has seq ``seq0 + k``, so only traces with
+consecutive seqs (any materialized trace or window of one) can be dumped.
+Blank lines and other ``#`` lines are skipped.
+
+Blobs reach the loader from remote cache tiers, so it parses plain text
+only and turns every malformation into :class:`TraceFormatError` (a
+``ValueError``), which the artifact cache treats as a miss.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, TextIO, Union
+from itertools import count
+from typing import Dict, List, TextIO, Tuple
 
 from repro.isa.assembly import parse_line
+from repro.isa.instruction import Instruction
 from repro.trace.dynamic import Trace, TraceEntry
 
 #: Format marker written as the first line.
-HEADER = "# repro-trace v1"
+HEADER = "# repro-trace v2"
+
+#: Taken column character -> ``TraceEntry.taken``.
+_TAKEN = {"T": True, "N": False, "-": None}
+
+#: Column tags, in file order: static index, memory address, taken.
+_COLUMNS = ("i", "m", "t")
 
 
 def dump_trace(trace: Trace, stream: TextIO) -> int:
-    """Write ``trace`` to ``stream``; returns the number of entries."""
-    stream.write(HEADER + "\n")
-    stream.write(f"# name={trace.name}\n")
-    stream.write(f"# program={trace.program_name}\n")
-    count = 0
-    for entry in trace:
-        mem = f"{entry.mem_addr:#x}" if entry.mem_addr is not None else "-"
-        if entry.taken is None:
-            taken = "-"
-        else:
-            taken = "T" if entry.taken else "N"
-        stream.write(
-            f"{entry.seq}\t{entry.uid}\t{entry.pc:#x}\t{mem}\t{taken}\t"
-            f"{entry.instr.to_text()}\n"
+    """Write ``trace`` to ``stream``; returns the number of entries.
+
+    Raises:
+        ValueError: if the entries' seqs are not consecutive from a
+            non-negative first seq.
+    """
+    entries = trace.entries
+    seq0 = entries[0].seq if entries else 0
+    if seq0 < 0 or any(e.seq != s for e, s in zip(entries, count(seq0))):
+        raise ValueError(
+            "only traces with consecutive, non-negative seqs can be dumped"
         )
-        count += 1
-    return count
+    slots: Dict[Tuple[int, int], int] = {}
+    statics: List[TraceEntry] = []
+    index: List[int] = []
+    for entry in entries:
+        key = (id(entry.instr), entry.pc)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(statics)
+            statics.append(entry)
+        index.append(slot)
+    lines = [
+        HEADER,
+        f"# name={trace.name}",
+        f"# program={trace.program_name}",
+        f"# statics={len(statics)}",
+        f"# entries={len(entries)}",
+        f"# seq0={seq0}",
+    ]
+    lines.extend(
+        f"{e.instr.uid}\t{e.pc:#x}\t{e.instr.to_text()}" for e in statics
+    )
+    lines.append("i " + ",".join(map(str, index)))
+    lines.append("m " + ",".join(
+        "-" if e.mem_addr is None else f"{e.mem_addr:x}" for e in entries
+    ))
+    lines.append("t " + "".join(
+        "-" if e.taken is None else ("T" if e.taken else "N") for e in entries
+    ))
+    stream.write("\n".join(lines) + "\n")
+    return len(entries)
 
 
 def dump_trace_to_path(trace: Trace, path: str) -> int:
@@ -52,57 +107,92 @@ class TraceFormatError(ValueError):
     """Raised when a trace file is malformed."""
 
 
+def _header_count(meta: Dict[str, str], key: str) -> int:
+    """The non-negative integer header field ``key``."""
+    if key not in meta:
+        raise TraceFormatError(f"header lacks {key}=")
+    value = meta[key]
+    if not value.isdecimal():
+        raise TraceFormatError(f"bad header {key}={value!r}")
+    return int(value)
+
+
 def load_trace(stream: TextIO) -> Trace:
     """Parse a trace previously written by :func:`dump_trace`.
 
-    A dynamic stream repeats a few thousand *static* instructions across
-    tens of thousands of entries, so parsed instructions are memoized by
-    their ``(uid, asm)`` line — repeats share one ``Instruction`` object,
-    exactly as a materialized trace shares the program's objects (the
-    simulator's static-info caches rely on that identity).
+    Raises:
+        TraceFormatError: on any malformation, including a v1 file.
     """
-    first = stream.readline().rstrip("\n")
-    if first != HEADER:
-        raise TraceFormatError(f"bad header {first!r}; expected {HEADER!r}")
-    name = "trace"
-    program_name = ""
-    entries: List[TraceEntry] = []
-    statics: dict = {}
-    statics_get = statics.get
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
+    lines = stream.read().split("\n")
+    if lines[0] != HEADER:
+        raise TraceFormatError(
+            f"bad header {lines[0]!r}; expected {HEADER!r}"
+        )
+    meta: Dict[str, str] = {}
+    body: List[Tuple[int, str]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("name="):
-                name = body[len("name="):]
-            elif body.startswith("program="):
-                program_name = body[len("program="):]
-            continue
+            key, sep, value = line[1:].strip().partition("=")
+            if sep:
+                meta[key] = value
+        elif line:
+            body.append((lineno, line))
+    n_statics = _header_count(meta, "statics")
+    n_entries = _header_count(meta, "entries")
+    seq0 = _header_count(meta, "seq0")
+    if len(body) != n_statics + len(_COLUMNS):
+        raise TraceFormatError(
+            f"expected {n_statics} static lines and {len(_COLUMNS)} "
+            f"columns, got {len(body)} lines"
+        )
+
+    statics: List[Tuple[Instruction, int]] = []
+    for lineno, line in body[:n_statics]:
         fields = line.split("\t")
-        if len(fields) != 6:
+        if len(fields) != 3:
             raise TraceFormatError(
-                f"line {lineno}: expected 6 tab-separated fields, "
+                f"line {lineno}: expected 3 tab-separated fields, "
                 f"got {len(fields)}"
             )
-        seq_s, uid_s, pc_s, mem_s, taken_s, asm = fields
+        uid_s, pc_s, asm = fields
         try:
-            static_key = (uid_s, asm)
-            instr = statics_get(static_key)
-            if instr is None:
-                instr = parse_line(asm).with_uid(int(uid_s))
-                statics[static_key] = instr
-            entries.append(TraceEntry(
-                seq=int(seq_s),
-                instr=instr,
-                pc=int(pc_s, 16),
-                mem_addr=None if mem_s == "-" else int(mem_s, 16),
-                taken=None if taken_s == "-" else taken_s == "T",
-            ))
-        except (ValueError, KeyError) as exc:
+            statics.append((parse_line(asm, uid=int(uid_s)), int(pc_s, 16)))
+        except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return Trace(entries, name=name, program_name=program_name)
+
+    columns = []
+    for (lineno, line), tag in zip(body[n_statics:], _COLUMNS):
+        got, _, column = line.partition(" ")
+        if got != tag:
+            raise TraceFormatError(
+                f"line {lineno}: expected column {tag!r}, got {got!r}"
+            )
+        columns.append(column)
+    index_s, mem_s, taken_s = columns
+    try:
+        index = list(map(int, index_s.split(","))) if index_s else []
+        mems = [None if s == "-" else int(s, 16)
+                for s in mem_s.split(",")] if mem_s else []
+        takens = list(map(_TAKEN.__getitem__, taken_s))
+    except (ValueError, KeyError) as exc:
+        raise TraceFormatError(f"bad column value: {exc}") from None
+    if not len(index) == len(mems) == len(takens) == n_entries:
+        raise TraceFormatError(
+            f"column lengths {len(index)}/{len(mems)}/{len(takens)} "
+            f"disagree with entries={n_entries}"
+        )
+    if index and not 0 <= min(index) <= max(index) < n_statics:
+        raise TraceFormatError(
+            f"static index out of range 0..{n_statics - 1}"
+        )
+    entries = [
+        TraceEntry(seq, instr, pc, mem, taken)
+        for seq, (instr, pc), mem, taken in zip(
+            count(seq0), map(statics.__getitem__, index), mems, takens
+        )
+    ]
+    return Trace(entries, name=meta.get("name", "trace"),
+                 program_name=meta.get("program", ""))
 
 
 def load_trace_from_path(path: str) -> Trace:

@@ -187,3 +187,33 @@ class TestRunnerWiring:
     def test_run_apps_serial_fallback(self, isolated_cache):
         serial = run_apps(["Email"], ("baseline",), jobs=1, walk_blocks=60)
         assert serial["Email"][("baseline", GOOGLE_TABLET.name)].cycles > 0
+
+    def test_corrupt_trace_blob_rematerializes_identically(
+            self, isolated_cache):
+        """A trace blob that fails to parse bumps the corrupt counter,
+        degrades to a miss, and the runner re-materializes the trace to
+        bit-identical stats (and rewrites a blob that loads)."""
+        from repro import telemetry
+
+        cold = app_context("Email", 60).stats("critic")
+        root = isolated_cache / f"v{cache_mod.SCHEMA_VERSION}"
+        blobs = sorted((root / "trace").rglob("*.trace"))
+        assert blobs
+        for blob in blobs:
+            text = blob.read_text()
+            blob.write_text(text[:len(text) // 2])  # a torn column line
+        for stats_blob in (root / "stats").rglob("*.json"):
+            stats_blob.unlink()
+        clear_cache()
+        cache_mod.reset_cache()
+        registry = telemetry.metrics.REGISTRY
+        before = registry.value("repro_cache_corrupt_total",
+                                kind="trace") or 0
+        warm = app_context("Email", 60).stats("critic")
+        after = registry.value("repro_cache_corrupt_total", kind="trace")
+        assert after is not None and after > before
+        assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
+        store = cache_mod.get_cache()
+        rewritten = [blob for blob in blobs
+                     if store.load_trace(blob.stem) is not None]
+        assert rewritten

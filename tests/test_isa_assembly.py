@@ -138,3 +138,48 @@ def test_property_roundtrip(op, dest, srcs, imm, cond):
     assert parsed.srcs == instr.srcs
     assert parsed.imm == instr.imm
     assert parsed.cond is instr.cond
+
+
+def _text_forms(opcode, cond, encoding):
+    """One instruction per operand shape ``to_text`` emits for ``opcode``:
+    registers (incl. SP/LR/PC) alone, with ``#imm``, with ``@target``,
+    and ``<cover>`` for CDP.  Shapes the instruction rejects are skipped."""
+    dests = ((14,) if opcode is Opcode.BL else (3,)) if dest_count(opcode) \
+        else ()
+    srcs = () if opcode in (Opcode.B, Opcode.BL, Opcode.CDP) else (2, 13)
+    shapes = [
+        {},
+        {"imm": -12},
+        {"imm": 4000},
+        {"target": 17},
+        {"cdp_cover": 1},
+        {"cdp_cover": 9},
+    ]
+    forms = []
+    for shape in shapes:
+        try:
+            forms.append(Instruction(opcode, dests=dests, srcs=srcs,
+                                     cond=cond, encoding=encoding, **shape))
+        except ValueError:
+            continue
+    return forms
+
+
+@pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.value)
+def test_parse_line_inverts_to_text_with_uid(opcode):
+    """For every opcode x condition x encoding and every operand shape,
+    ``parse_line(i.to_text(), uid=u)`` rebuilds ``i`` and keeps ``u``."""
+    checked = 0
+    for cond in Cond:
+        for encoding in Encoding:
+            for uid, instr in enumerate(_text_forms(opcode, cond, encoding)):
+                parsed = parse_line(instr.to_text(), uid=uid)
+                assert parsed == instr, instr.to_text()
+                assert parsed.uid == uid
+                checked += 1
+    assert checked >= len(Cond) * len(Encoding)
+
+
+def test_parse_line_uid_defaults_to_unassigned():
+    assert parse_line("ADD R1, R2, R3").uid == -1
+    assert parse_line("ADD R1, R2, R3", uid=42).uid == 42

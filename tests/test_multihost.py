@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.cache import reset_cache
+from repro.cache import SCHEMA_VERSION, reset_cache
 from repro.dispatch import RetryPolicy, TaskSpec
 from repro.dispatch.fleet import PersistentFleet, parse_bind
 from repro.experiments.runner import app_context, clear_cache
@@ -296,5 +296,6 @@ class TestSharedWarmTier:
             assert report["stats"][scheme] == \
                 ctx.stats(scheme).to_dict()
         # ...and written back into host B's local tier.
-        blobs = list((root_b / "v3" / "stats").rglob("*.json"))
+        blobs = list((root_b / f"v{SCHEMA_VERSION}" / "stats")
+                     .rglob("*.json"))
         assert len(blobs) == 2
