@@ -489,14 +489,12 @@ class ArtifactCache:
         text = self.backend.get(kind, key)
         if text is None:
             self.misses += 1
-            telemetry.count(f"cache.miss.{kind}")
             telemetry.inc("repro_cache_requests_total",
                           help="Artifact cache lookups by outcome.",
                           kind=kind, result="miss")
             telemetry.emit("cache.miss", artifact=kind, key=key[:12])
             return None
         self.hits += 1
-        telemetry.count(f"cache.hit.{kind}")
         telemetry.inc("repro_cache_requests_total",
                       help="Artifact cache lookups by outcome.",
                       kind=kind, result="hit")
@@ -517,7 +515,6 @@ class ArtifactCache:
     def _corrupt(self, kind: str, key: str) -> None:
         """A stored artifact parsed as garbage: degrade to a miss, but
         leave a trail — silent corruption is how caches rot."""
-        telemetry.count(f"cache.corrupt.{kind}")
         telemetry.inc("repro_cache_corrupt_total",
                       help="Cache artifacts that failed to parse and "
                            "degraded to a miss.",

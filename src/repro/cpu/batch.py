@@ -833,8 +833,6 @@ def simulate_batch(
                 )
                 results[plan.index] = sim.run(max_cycles=max_cycles)
 
-    telemetry.count("simulate.batch.instructions",
-                    sum(r.instructions for r in results))
     fast_cells = sum(1 for p in plans if p.reason is None)
     fallbacks = [(p.config.name, p.reason) for p in plans
                  if p.reason is not None]

@@ -9,10 +9,10 @@ Command line::
 
 Runs each figure module at the requested scale and emits the same rows the
 paper reports, ready to diff against EXPERIMENTS.md.  Section headers
-carry the per-figure wall time; ``--perf`` appends the telemetry report
-(phase timers with self vs cumulative time, counters) to the chosen
-output stream(s) instead of relying on the ``REPRO_PERF=1``
-stderr-at-exit hook.
+carry the per-figure wall time; ``--perf`` appends the telemetry phase
+table (self vs cumulative time per phase, worker processes included) to
+the chosen output stream(s).  Counters live in the metrics registry and
+land in the run manifest's ``metrics.txt``.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def generate_report(
     consolidated report text.
 
     Each section header carries that figure's wall time; ``perf=True``
-    appends a final ``telemetry`` section with the phase/counter report
+    appends a final ``telemetry`` section with the phase table
     accumulated across the run (worker processes included).
     """
     chosen = sections or list(SECTIONS)
@@ -161,7 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file")
     parser.add_argument("--perf", action="store_true",
-                        help="append the telemetry (phase/counter) report")
+                        help="append the telemetry phase table")
     args = parser.parse_args(argv)
 
     report = generate_report(

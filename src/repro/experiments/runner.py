@@ -17,9 +17,9 @@ Central plumbing for every figure/table reproduction:
   the sweep CLI's ``--executor``) sized by ``REPRO_JOBS``, and seeds
   the in-process memo with the results, so figure modules stay simple
   serial loops;
-* workers report their telemetry (phase timers, counters, span trees)
+* workers report their telemetry (phase timers, metrics, span trees)
   back with their results — spooled to temp files when a worker
-  crashes — so ``REPRO_PERF=1`` totals are fleet-wide; retried attempts'
+  crashes — so phase and metric totals are fleet-wide; retried attempts'
   telemetry is discarded so a retried cell is counted exactly once; and
   every invocation leaves a run manifest (including the executor's
   per-task attempt records) next to the artifact cache;
@@ -596,11 +596,11 @@ def run_apps(apps: Sequence[str],
     SimStats``) and in the per-app in-process memos, so subsequent
     ``ctx.stats(...)`` calls made by figure modules are hits.
 
-    Each worker ships its telemetry snapshot (phases, counters, span
+    Each worker ships its telemetry snapshot (phases, metrics, span
     trees) back with its result — with a temp-file spool as the fallback
     channel for workers that raise — and the parent merges exactly one
-    snapshot per cell (retried attempts are discarded), so a
-    ``REPRO_PERF=1`` report covers the whole fleet without
+    snapshot per cell (retried attempts are discarded), so the phase
+    table and the metrics registry cover the whole fleet without
     double-counting.  Every invocation also writes a run manifest
     (config hash, seeds, cache hit/miss counts, wall time, phase table,
     executor attempt records) next to the artifact cache; see

@@ -10,9 +10,9 @@ mean what benchmark numbers usually mean: closed-loop measures service
 latency under bounded outstanding requests, open-loop charges queueing
 delay to the percentiles instead of omitting it.
 
-The JSON artifact carries a manifest-shaped ``phases`` block, so two
-runs (say, cold cache vs warm cache) diff with the existing
-``python -m repro.telemetry.compare`` gate.
+The JSON report carries request counts, served-cell sources, throughput
+and latency percentiles.  It is a load probe, not a regression gate:
+performance is gated by ``python -m bench`` (workload ``serve-open``).
 """
 
 from repro.loadgen.base import (

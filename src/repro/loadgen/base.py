@@ -187,16 +187,11 @@ def percentile(sorted_values: List[float], q: float) -> float:
 def summarize(samples: List[Sample], wall_s: float,
               engine: str, workload: str,
               offered: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold samples into the loadgen report.
-
-    The report carries a ``phases`` block shaped exactly like a run
-    manifest's (``{name: {"calls", "total_s", "mean_s"}}``) so
-    ``python -m repro.telemetry.compare`` can diff two loadgen runs —
-    or a loadgen run against a manifest — without special-casing.
-    """
+    """Fold samples into the loadgen report: request outcomes,
+    served-cell sources, throughput, latency percentiles over the ok
+    requests, and every sample."""
     ok = [s for s in samples if s.ok]
     lat = sorted(s.latency_s for s in ok)
-    total_lat = sum(lat)
     cells = sum(s.cells for s in ok)
     report: Dict[str, Any] = {
         "kind": "loadgen",
@@ -221,19 +216,11 @@ def summarize(samples: List[Sample], wall_s: float,
             "cells_per_s": round(cells / wall_s, 3) if wall_s else 0.0,
         },
         "latency_s": {
-            "mean": round(total_lat / len(lat), 6) if lat else 0.0,
+            "mean": round(sum(lat) / len(lat), 6) if lat else 0.0,
             "p50": round(percentile(lat, 0.50), 6),
             "p95": round(percentile(lat, 0.95), 6),
             "p99": round(percentile(lat, 0.99), 6),
             "max": round(lat[-1], 6) if lat else 0.0,
-        },
-        "phases": {
-            "loadgen.request": {
-                "calls": len(lat),
-                "total_s": round(total_lat, 6),
-                "mean_s": round(total_lat / len(lat), 6)
-                if lat else 0.0,
-            },
         },
         "samples": [s.to_dict() for s in samples],
     }

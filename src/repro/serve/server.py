@@ -634,8 +634,8 @@ class ServeServer:
 
     def _record_manifest(self, job: _Job, wall: float) -> None:
         """Per-job run manifest (kind ``serve``) — same provenance next
-        to the cache as ``run_apps``/``sweep`` write, so
-        ``telemetry.compare`` and CI see served jobs too."""
+        to the cache as ``run_apps``/``sweep`` write, so served jobs
+        leave the same phase table and metrics snapshot."""
         try:
             from repro.telemetry.manifest import record_run
 

@@ -3,18 +3,20 @@ structured events, flight recorder, run manifests, trace export.
 
 One import surface over several pieces:
 
-* **spans/counters** (:mod:`repro.telemetry.spans`) — ``span(name,
-  **attrs)`` context managers form trees with self-vs-cumulative time,
-  aggregate into an always-on phase table, and serialize across process
+* **spans** (:mod:`repro.telemetry.spans`) — ``span(name, **attrs)``
+  context managers form trees with self-vs-cumulative time, aggregate
+  into an always-on phase table, and serialize across process
   boundaries (``snapshot()`` / ``merge_snapshot()``) so the parallel
-  runner reports fleet-wide totals.  ``REPRO_PERF=1`` prints the report
-  at exit; ``REPRO_SPANS=1`` retains span trees for :func:`dump_spans`,
-  and ``REPRO_SPANS=<path>`` dumps them as JSONL at exit.
-* **typed metrics** (:mod:`repro.telemetry.metrics`) — labeled counters,
-  gauges, and fixed-bucket histograms in a process-local registry that
-  rides the span snapshot/merge channel, so fleet-wide totals obey the
-  same exactly-once-across-retries discipline.  Rendered as Prometheus
-  text exposition (``metrics.txt`` next to the run manifest).
+  runner reports fleet-wide totals.  :func:`report` renders the phase
+  table (``report --perf`` prints it; every run manifest records it).
+  ``REPRO_SPANS=1`` retains span trees for :func:`dump_spans`, and
+  ``REPRO_SPANS=<path>`` dumps them as JSONL at exit.
+* **typed metrics** (:mod:`repro.telemetry.metrics`) — the one counter
+  API: labeled counters, gauges, and fixed-bucket histograms in a
+  process-local registry that rides the span snapshot/merge channel, so
+  fleet-wide totals obey the same exactly-once-across-retries
+  discipline.  Rendered as Prometheus text exposition (``metrics.txt``
+  next to the run manifest, and ``/metrics`` on ``repro.serve``).
 * **structured events** (:mod:`repro.telemetry.events`) — append-only
   JSONL narration of the hot operational paths (``REPRO_EVENTS=path``):
   dispatch attempts/leases/quarantines, worker deaths, batch groups and
@@ -26,10 +28,6 @@ One import surface over several pieces:
   ``run_apps`` invocation records config hash, seeds, cache hit/miss
   counts, wall time, the phase table, and the metrics snapshot next to
   the artifact cache.
-* **compare** (:mod:`repro.telemetry.compare`) — diff a manifest against
-  ``BENCH_perf.json`` (or another manifest) and flag phase-time
-  regressions: ``python -m repro.telemetry.compare`` (``--json`` for a
-  machine-readable gate).
 * **export/live** (:mod:`repro.telemetry.export`,
   :mod:`repro.telemetry.live`) — Chrome-trace/Perfetto JSON export of
   span dumps (``python -m repro.telemetry.export``) and a live sweep
@@ -37,10 +35,13 @@ One import surface over several pieces:
   (``python -m repro.telemetry.live``, or ``--progress`` on the sweep
   CLI).
 
-``manifest`` and ``compare`` are deliberately *not* imported here: they
-depend on :mod:`repro.cache`, which itself uses the span/counter API —
-importing them at package level would be circular.  Import them as
-submodules where needed.
+``manifest`` is deliberately *not* imported here: it depends on
+:mod:`repro.cache`, which itself uses the span and metrics APIs —
+importing it at package level would be circular.  Import it as a
+submodule where needed.
+
+Performance is measured and gated by ``python -m bench``
+(``bench/README.md``), not by this package.
 """
 
 from repro.telemetry import events, metrics
@@ -60,15 +61,11 @@ from repro.telemetry.recorder import (
 from repro.telemetry.spans import (
     MAX_ROOT_SPANS,
     Span,
-    count,
-    counters,
     dropped_spans,
     dump_spans,
-    enabled,
     merge_snapshot,
     phase,
     phase_stats,
-    phases,
     report,
     reset,
     snapshot,
@@ -83,12 +80,9 @@ __all__ = [
     "MAX_ROOT_SPANS",
     "STALL_CAUSES",
     "Span",
-    "count",
-    "counters",
     "dropped_spans",
     "dump_spans",
     "emit",
-    "enabled",
     "events",
     "inc",
     "iter_events",
@@ -98,7 +92,6 @@ __all__ = [
     "parse_jsonl",
     "phase",
     "phase_stats",
-    "phases",
     "render_prometheus",
     "report",
     "reset",

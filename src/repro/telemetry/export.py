@@ -20,8 +20,8 @@ Mapping:
   workers carry a ``pid`` attribute (see ``merge_snapshot``), so a fleet
   sweep renders one swimlane per worker, named by ``process_name``
   metadata events;
-* final counter values (the ``_meta`` trailer line of a
-  ``REPRO_SPANS=<path>`` dump) become **counter tracks** (``"ph": "C"``),
+* final metrics-registry counter values (the ``_meta`` trailer line of
+  a ``REPRO_SPANS=<path>`` dump) become **counter tracks** (``"ph": "C"``),
   and ``--events events.jsonl`` additionally renders the structured
   event stream as cumulative counter tracks (cells done/cached/retried/
   fallback, instructions) plus instant events for retries/quarantines.

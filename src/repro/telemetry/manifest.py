@@ -4,8 +4,8 @@ Every :func:`repro.experiments.runner.run_apps` invocation (and therefore
 every figure reproduction) writes a *manifest* describing exactly what
 ran: the invocation's content hash (same canonicalization as the artifact
 cache keys), per-app generation seeds, scheme/config grid, cache hit/miss
-counts, wall time, and the telemetry phase/counter aggregates.  Manifests
-live inside the artifact-cache namespace::
+counts, wall time, the telemetry phase table and the metrics-registry
+snapshot.  Manifests live inside the artifact-cache namespace::
 
     $REPRO_CACHE_DIR/v<SCHEMA_VERSION>/manifests/last_run.json   (latest)
     $REPRO_CACHE_DIR/v<SCHEMA_VERSION>/manifests/manifests.jsonl (append log)
@@ -14,15 +14,13 @@ live inside the artifact-cache namespace::
 line per run, which is what CI uploads as a workflow artifact.  Next to
 ``last_run.json`` the writer also drops ``metrics.txt`` — the typed
 metrics registry rendered in Prometheus text exposition format, the
-scrape-shaped view of the same run.  Use
-``python -m repro.telemetry.compare`` to diff a manifest against
-``BENCH_perf.json`` and flag phase-time regressions.
+scrape-shaped view of the same run.
 
 Everything recorded here is provenance, not identity: the ``metrics``
-block (like ``cache``/``wall_s``/``phases``/``counters``) sits *outside*
-the invocation record that ``config_hash`` is computed over, so two runs
-with identical inputs hash identically no matter what their telemetry
-looked like.
+block (like ``cache``/``wall_s``/``phases``) sits *outside* the
+invocation record that ``config_hash`` is computed over, so two runs with
+identical inputs hash identically no matter what their telemetry looked
+like.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.cache import SCHEMA_VERSION, artifact_key, get_cache
 from repro.telemetry import metrics as _metrics
-from repro.telemetry.spans import counters as _counters
 from repro.telemetry.spans import phase_stats as _phase_stats
 
 #: Manifest record format version.
@@ -108,7 +105,6 @@ def build_manifest(
                   "backend": cache.backend_spec()},
         "wall_s": wall_s,
         "phases": _phase_stats(),
-        "counters": _counters(),
         "metrics": _metrics.REGISTRY.snapshot(),
     }
     if extra:

@@ -1,9 +1,10 @@
 """Typed metrics registry: labeled counters, gauges, and histograms.
 
-The span/counter core (:mod:`repro.telemetry.spans`) records *where time
-went*; this module records *what the system did* — retries, quarantines,
-cache hits, batch-kernel occupancy — as first-class typed metrics with
-Prometheus-style names and labels:
+The span core (:mod:`repro.telemetry.spans`) records *where time went*;
+this module records *what the system did* — retries, quarantines, cache
+hits, invariant violations, batch-kernel occupancy — as first-class typed
+metrics with Prometheus-style names and labels.  It is the repo's only
+counter API:
 
     from repro.telemetry import metrics
     metrics.inc("repro_dispatch_attempts_total", outcome="ok")
@@ -36,8 +37,8 @@ Metrics are **provenance, never semantics**: nothing reads them back
 into the pipeline, they are excluded from ``config_hash`` / artifact
 cache keys, and the per-update cost is one dict lookup and an add.
 :func:`render_prometheus` serializes the registry in the text
-exposition format (the ``metrics.txt`` written next to run manifests,
-ready for a future ``repro.serve`` scrape endpoint).
+exposition format: the ``metrics.txt`` written next to run manifests,
+and the ``/metrics`` endpoint of ``repro.serve``'s HTTP front.
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ class MetricsRegistry:
 
     def counters_flat(self, prefix: str = "") -> Dict[str, float]:
         """``{"name{a=b}": value}`` for every counter sample under
-        ``prefix`` — the bit-equality tests compare these maps."""
+        ``prefix`` — the ``REPRO_SPANS`` dump trailer writes this map
+        and the bit-equality tests compare it."""
         out: Dict[str, float] = {}
         for name, family in sorted(self._families.items()):
             if family.type != "counter" or not name.startswith(prefix):

@@ -1,4 +1,4 @@
-"""Hierarchical spans, phase aggregates, and counters.
+"""Hierarchical spans and phase aggregates.
 
 This is the core of :mod:`repro.telemetry`.  A *span* is one timed region
 of the pipeline (``with span("simulate", app="Music"): ...``); spans nest,
@@ -11,8 +11,8 @@ forming a tree per top-level region.  Two views are maintained:
   aggregate table is always on: its cost is one ``perf_counter`` pair and
   a dict update per span.
 * **trees** — completed root spans are retained (and exportable as JSONL
-  via :func:`dump_spans`) only when ``REPRO_PERF=1`` or ``REPRO_SPANS=1``
-  is set, capped at :data:`MAX_ROOT_SPANS` roots per process.
+  via :func:`dump_spans`) only when ``REPRO_SPANS`` is set, capped at
+  :data:`MAX_ROOT_SPANS` roots per process.
 
 Both views are picklable through :func:`snapshot` and re-foldable with
 :func:`merge_snapshot`, which is how worker processes in the parallel
@@ -20,14 +20,16 @@ experiment runner report their telemetry back to the parent (spans from a
 worker are tagged with the worker's pid).  The typed metrics registry
 (:mod:`repro.telemetry.metrics`) rides the same channel: its state is
 folded into every snapshot under ``"metrics"``, merged and reset
-alongside phases/counters, so labeled counters inherit the runner's
-exactly-once-across-retries discipline.
+alongside the phases, so its counters inherit the runner's
+exactly-once-across-retries discipline.  The registry is the only
+counter API; this module only times things.
 
 Spans also record their wall-clock start (``start_unix``), which is what
 lets ``python -m repro.telemetry.export`` lay the retained trees out on
 a Chrome-trace/Perfetto timeline.  Setting ``REPRO_SPANS`` to a *path*
 (anything other than ``0``/``1``) retains trees **and** dumps them as
-JSONL to that path at exit, ready for the exporter.
+JSONL to that path at exit, ready for the exporter; a trailing
+``_meta`` line carries the registry's counter totals.
 
 State is process-local and single-threaded by design, matching the rest
 of the pipeline.
@@ -39,15 +41,12 @@ import atexit
 import functools
 import json
 import os
-import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, \
-    Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
 
 from repro.telemetry import metrics as _metrics
 
-_ENV = "REPRO_PERF"
 _ENV_SPANS = "REPRO_SPANS"
 
 #: Retained root-span cap (per process); excess roots are counted, not kept.
@@ -110,17 +109,10 @@ _roots: List[Span] = []
 _dropped_roots = 0
 #: phase name -> [calls, cumulative seconds, self seconds]
 _phases: Dict[str, List[float]] = {}
-#: counter name -> value
-_counters: Dict[str, int] = {}
-
-
-def enabled() -> bool:
-    """True when ``REPRO_PERF=1`` (report printed at exit)."""
-    return os.environ.get(_ENV, "") not in ("", "0")
 
 
 def _retain_trees() -> bool:
-    return enabled() or os.environ.get(_ENV_SPANS, "") not in ("", "0")
+    return os.environ.get(_ENV_SPANS, "") not in ("", "0")
 
 
 @contextmanager
@@ -176,21 +168,6 @@ def spanned(name: Optional[str] = None, **attrs: Any) -> Callable:
     return wrap
 
 
-def count(name: str, value: int = 1) -> None:
-    """Bump a named counter (cache hits, instructions simulated, ...)."""
-    _counters[name] = _counters.get(name, 0) + value
-
-
-def counters() -> Dict[str, int]:
-    """Snapshot of all counters (tests and the cache smoke check use this)."""
-    return dict(_counters)
-
-
-def phases() -> Dict[str, Tuple[int, float]]:
-    """Legacy snapshot: ``name -> (calls, cumulative_seconds)``."""
-    return {name: (int(c), t) for name, (c, t, _s) in _phases.items()}
-
-
 def phase_stats() -> Dict[str, Dict[str, float]]:
     """Full aggregate snapshot:
     ``name -> {"calls", "total_s", "self_s"}``."""
@@ -220,13 +197,12 @@ def dump_spans(stream: TextIO) -> int:
 
 
 def reset() -> None:
-    """Clear all spans/timings/counters/metrics (tests use this)."""
+    """Clear all spans/timings/metrics (tests use this)."""
     global _dropped_roots
     _stack.clear()
     _roots.clear()
     _dropped_roots = 0
     _phases.clear()
-    _counters.clear()
     _metrics.REGISTRY.reset()
 
 
@@ -243,7 +219,6 @@ def snapshot() -> Dict[str, Any]:
     return {
         "pid": os.getpid(),
         "phases": {name: list(cell) for name, cell in _phases.items()},
-        "counters": dict(_counters),
         "metrics": _metrics.REGISTRY.snapshot(),
         "spans": [root.to_dict() for root in _roots],
         "dropped_spans": _dropped_roots,
@@ -266,8 +241,6 @@ def merge_snapshot(snap: Optional[Dict[str, Any]]) -> None:
             mine[0] += calls
             mine[1] += total
             mine[2] += self_t
-    for name, value in snap.get("counters", {}).items():
-        _counters[name] = _counters.get(name, 0) + int(value)
     _metrics.REGISTRY.merge(snap.get("metrics"))
     _dropped_roots += int(snap.get("dropped_spans", 0))
     roots = snap.get("spans") or []
@@ -294,7 +267,7 @@ def _fmt_seconds(seconds: float) -> str:
 
 
 def report() -> str:
-    """Render the per-phase/per-counter report.
+    """Render the per-phase report.
 
     Phases are sorted by *self* time, and both cumulative and self time
     are shown, so a ``simulate`` nested inside a ``fig10`` span no longer
@@ -313,11 +286,6 @@ def report() -> str:
                 f"{name:<30} {int(calls):>6} {_fmt_seconds(total):>10} "
                 f"{_fmt_seconds(self_t):>10} {_fmt_seconds(mean):>10}"
             )
-    if _counters:
-        lines.append("")
-        lines.append(f"{'counter':<40} {'value':>8}")
-        for name in sorted(_counters):
-            lines.append(f"{name:<40} {_counters[name]:>8}")
     if _dropped_roots:
         lines.append("")
         lines.append(f"(span trees dropped past cap: {_dropped_roots})")
@@ -338,22 +306,16 @@ def _dump_spans_at_exit() -> None:
     try:
         with open(path, "a", encoding="utf-8") as handle:
             dump_spans(handle)
-            # A trailing meta line carries the final counter values so
-            # the Chrome-trace exporter can render counter tracks.
+            # A trailing meta line carries the registry's final counter
+            # values so the Chrome-trace exporter can render counter tracks.
             handle.write(json.dumps({
                 "_meta": {
                     "pid": os.getpid(),
-                    "counters": dict(_counters),
+                    "counters": _metrics.REGISTRY.counters_flat(),
                 },
             }, sort_keys=True) + "\n")
     except OSError:
         pass
 
 
-def _report_at_exit() -> None:
-    _dump_spans_at_exit()
-    if enabled() and (_phases or _counters):
-        print(report(), file=sys.stderr)
-
-
-atexit.register(_report_at_exit)
+atexit.register(_dump_spans_at_exit)

@@ -29,10 +29,10 @@ kwarg) and costs nothing when off: the simulator only allocates the
 commit-cycle column and calls :meth:`RunValidator.on_run` when a
 validator is attached, and stats are bit-identical either way.
 
-Violations are counted as telemetry counters
-(``validate.violation.<kind>``) and carry flight-recorder-style context —
-the stage-entry cycles of the offending instruction and its neighbours —
-so a failure is diagnosable without re-running.  By default a violation
+Violations are counted in the metrics registry
+(``repro_validate_violations_total{kind}``) and carry flight-recorder-style
+context — the stage-entry cycles of the offending instruction and its
+neighbours — so a failure is diagnosable without re-running.  By default a violation
 raises :class:`InvariantViolationError`; pass ``strict=False`` to collect
 a :class:`ValidationReport` instead.
 """
@@ -351,7 +351,9 @@ class RunValidator:
         check_memory(report, stats)
         self.reports.append(report)
         for violation in report.violations:
-            telemetry.count(f"validate.violation.{violation.kind}")
+            telemetry.inc("repro_validate_violations_total",
+                          help="Simulator invariant violations, by kind.",
+                          kind=violation.kind)
         if self.strict and not report.ok:
             raise InvariantViolationError(report)
         return report

@@ -145,14 +145,12 @@ class TestBitIdentity:
     def test_batch_counts_telemetry(self):
         trace = _fresh_trace()
         telemetry.reset()
-        stats = simulate_batch(trace, [GOOGLE_TABLET, config_efetch()])
+        simulate_batch(trace, [GOOGLE_TABLET, config_efetch()])
         registry = telemetry.metrics.REGISTRY
         fast = registry.value("repro_batch_cells_total", path="fast") or 0
         fallback = registry.value("repro_batch_cells_total",
                                   path="fallback") or 0
         assert fast + fallback == 2
-        assert telemetry.counters()["simulate.batch.instructions"] == \
-            sum(s.instructions for s in stats)
 
 
 class TestMemoizationSharing:

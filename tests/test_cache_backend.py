@@ -45,6 +45,13 @@ def _fresh_state(tmp_path, monkeypatch):
     reset_cache()
 
 
+def _cache_counters():
+    """The artifact cache's lookup and corruption counter samples."""
+    registry = telemetry.metrics.REGISTRY
+    return {**registry.counters_flat("repro_cache_requests_total"),
+            **registry.counters_flat("repro_cache_corrupt_total")}
+
+
 class TestSpecParsing:
     def test_empty_and_local_default(self):
         assert parse_backend_spec("") == {"mode": "local", "root": None}
@@ -266,8 +273,7 @@ class TestRemoteBackend:
             backend=RemoteBackend(LocalBackend(str(tmp_path / "r")),
                                   RemoteTier(*stub.address)))
         assert remote.load_stats(KEY) is None
-        remote_trail = (remote.hits, remote.misses,
-                        dict(telemetry.counters()))
+        remote_trail = (remote.hits, remote.misses, _cache_counters())
         remote.close()
 
         telemetry.reset()
@@ -275,14 +281,14 @@ class TestRemoteBackend:
         local_backend.put("stats", KEY, "{not json")
         local = ArtifactCache(enabled=True, backend=local_backend)
         assert local.load_stats(KEY) is None
-        local_trail = (local.hits, local.misses,
-                       dict(telemetry.counters()))
+        local_trail = (local.hits, local.misses, _cache_counters())
 
         assert remote_trail[0] == local_trail[0] == 1   # a hit...
         assert remote_trail[1] == local_trail[1] == 0
-        for trail in (remote_trail, local_trail):       # ...then corrupt
-            assert trail[2].get("cache.corrupt.stats") == 1
-            assert trail[2].get("cache.hit.stats") == 1
+        assert remote_trail[2] == local_trail[2] == {   # ...then corrupt
+            "repro_cache_corrupt_total{kind=stats}": 1,
+            "repro_cache_requests_total{kind=stats,result=hit}": 1,
+        }
 
     def test_env_selected_backend_round_trip(self, tmp_path,
                                              monkeypatch, stub):

@@ -23,6 +23,10 @@ from repro.telemetry.export import (
 )
 
 
+#: A registry counter sample as the ``_meta`` trailer names it.
+HITS = "repro_cache_requests_total{kind=trace,result=hit}"
+
+
 @pytest.fixture(autouse=True)
 def _clean_telemetry(monkeypatch):
     monkeypatch.setenv("REPRO_SPANS", "1")
@@ -39,7 +43,6 @@ def _span_dump_lines():
     worker = {
         "pid": 4242,
         "phases": {"simulate": [1, 0.5, 0.5]},
-        "counters": {"simulate.instructions": 1000},
         "spans": [{
             "name": "simulate", "dur_s": 0.5, "self_s": 0.5,
             "start_unix": 1000.25,
@@ -50,7 +53,7 @@ def _span_dump_lines():
     buf = io.StringIO()
     telemetry.dump_spans(buf)
     buf.write(json.dumps({
-        "_meta": {"pid": 99, "counters": {"cache.hit.trace": 3}},
+        "_meta": {"pid": 99, "counters": {HITS: 3}},
     }) + "\n")
     return buf.getvalue().splitlines(keepends=True)
 
@@ -59,7 +62,7 @@ class TestReadSpanDump:
     def test_splits_spans_and_meta(self):
         roots, metas = read_span_dump(_span_dump_lines())
         assert [r["name"] for r in roots] == ["run_apps", "simulate"]
-        assert metas == [{"pid": 99, "counters": {"cache.hit.trace": 3}}]
+        assert metas == [{"pid": 99, "counters": {HITS: 3}}]
 
     def test_tolerates_garbage_lines(self):
         roots, metas = read_span_dump(
@@ -100,7 +103,7 @@ class TestChromeTraceSchema:
         roots, metas = read_span_dump(_span_dump_lines())
         trace = build_chrome_trace(roots, metas)
         counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-        assert any(e["name"] == "cache.hit.trace"
+        assert any(e["name"] == HITS
                    and e["args"]["value"] == 3 for e in counters)
 
     def test_event_stream_counter_tracks_and_instants(self):
@@ -167,7 +170,8 @@ class TestExportCli:
 
     def test_spans_env_path_dump_feeds_exporter(self, tmp_path,
                                                 monkeypatch):
-        """REPRO_SPANS=<path> dump (spans + _meta trailer) round-trips."""
+        """REPRO_SPANS=<path> dump (spans + _meta trailer) round-trips,
+        and a metrics-registry counter becomes a counter track."""
         import importlib
 
         # telemetry.spans (the accessor function) shadows the submodule
@@ -177,9 +181,14 @@ class TestExportCli:
         monkeypatch.setenv("REPRO_SPANS", str(dump))
         with telemetry.span("work"):
             pass
-        telemetry.count("cache.hit.trace", 2)
+        telemetry.inc("repro_cache_requests_total", 2,
+                      kind="trace", result="hit")
         spans_mod._dump_spans_at_exit()
         roots, metas = read_span_dump(
             dump.read_text().splitlines(keepends=True))
         assert [r["name"] for r in roots] == ["work"]
-        assert metas[0]["counters"] == {"cache.hit.trace": 2}
+        assert metas[0]["counters"] == {HITS: 2}
+        tracks = [e for e in build_chrome_trace(roots, metas)["traceEvents"]
+                  if e["ph"] == "C"]
+        assert [(e["name"], e["args"]["value"]) for e in tracks] == \
+            [(HITS, 2)]

@@ -1,4 +1,4 @@
-"""Tests for run manifests and the manifest-vs-baseline comparator."""
+"""Tests for run manifests."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro import telemetry
 from repro.cache import reset_cache
-from repro.telemetry import compare as tcompare
 from repro.telemetry import manifest as tmanifest
 
 
@@ -24,7 +23,8 @@ class TestManifest:
     def _record(self):
         with telemetry.phase("simulate"):
             pass
-        telemetry.count("cache.hit.stats", 2)
+        telemetry.inc("repro_cache_requests_total", 2,
+                      kind="stats", result="hit")
         return tmanifest.record_run(
             "run_apps",
             apps=["Music"],
@@ -43,7 +43,9 @@ class TestManifest:
         assert manifest["apps"] == ["Music"]
         assert manifest["seeds"] == {"Music": 17}
         assert manifest["wall_s"] == 1.25
-        assert manifest["counters"]["cache.hit.stats"] == 2
+        assert "counters" not in manifest
+        assert manifest["metrics"]["repro_cache_requests_total"][
+            "samples"] == [[[["kind", "stats"], ["result", "hit"]], 2]]
         assert manifest["phases"]["simulate"]["calls"] == 1
         assert len(manifest["config_hash"]) == 64
         log = path.parent / tmanifest.LOG
@@ -69,97 +71,3 @@ class TestManifest:
         monkeypatch.setenv("REPRO_CACHE", "0")
         reset_cache()
         assert self._record() is None
-
-
-class TestCompare:
-    MANIFEST = {"phases": {
-        "simulate": {"calls": 2, "total_s": 1.0},      # mean 0.5
-        "generate": {"calls": 1, "total_s": 0.1},      # mean 0.1
-        "new_phase": {"calls": 1, "total_s": 9.9},
-    }}
-    BASELINE = {"phases": {
-        "simulate": {"mean_s": 0.4},                   # ratio 1.25
-        "generate": 0.1,                               # ratio 1.0
-        "gone_phase": {"mean_s": 3.0},
-    }}
-
-    def test_compare_rows_and_threshold(self):
-        rows = tcompare.compare(self.MANIFEST, self.BASELINE, threshold=0.2)
-        assert [r["phase"] for r in rows] == ["generate", "simulate"]
-        by_name = {r["phase"]: r for r in rows}
-        assert by_name["simulate"]["ratio"] == pytest.approx(1.25)
-        assert by_name["simulate"]["regressed"]
-        assert not by_name["generate"]["regressed"]
-        # A looser threshold clears the 25% regression.
-        assert tcompare.regressions(
-            self.MANIFEST, self.BASELINE, threshold=0.3) == []
-
-    def test_one_sided_phases_ignored(self):
-        names = [r["phase"]
-                 for r in tcompare.compare(self.MANIFEST, self.BASELINE)]
-        assert "new_phase" not in names
-        assert "gone_phase" not in names
-
-    def test_noise_floor_skipped(self):
-        rows = tcompare.compare(
-            {"phases": {"tiny": {"mean_s": 1.0}}},
-            {"phases": {"tiny": {"mean_s": 1e-6}}},
-        )
-        assert rows == []
-
-    def test_format_rows_flags_regressions(self):
-        rows = tcompare.compare(self.MANIFEST, self.BASELINE)
-        text = tcompare.format_rows(rows)
-        assert "REGRESSED" in text and "simulate" in text
-
-    def test_cli(self, tmp_path, capsys):
-        manifest_path = tmp_path / "last_run.json"
-        manifest_path.write_text(json.dumps(self.MANIFEST))
-        baseline_path = tmp_path / "BENCH_perf.json"
-        baseline_path.write_text(json.dumps(self.BASELINE))
-
-        code = tcompare.main([str(manifest_path), str(baseline_path)])
-        out = capsys.readouterr().out
-        assert code == 0  # informational by default
-        assert "1 of 2 phases regressed" in out
-
-        code = tcompare.main([str(manifest_path), str(baseline_path),
-                              "--strict"])
-        assert code == 1
-        code = tcompare.main([str(manifest_path), str(baseline_path),
-                              "--strict", "--threshold", "0.5"])
-        assert code == 0
-
-    def test_cli_json_output(self, tmp_path, capsys):
-        """--json prints a machine-readable report and gates on
-        regressions (it implies --strict)."""
-        manifest_path = tmp_path / "last_run.json"
-        manifest_path.write_text(json.dumps(self.MANIFEST))
-        baseline_path = tmp_path / "BENCH_perf.json"
-        baseline_path.write_text(json.dumps(self.BASELINE))
-
-        code = tcompare.main([str(manifest_path), str(baseline_path),
-                              "--json"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert report["regressed"] == 1 and report["compared"] == 2
-        by_name = {r["phase"]: r for r in report["phases"]}
-        assert by_name["simulate"]["regressed"]
-        assert by_name["simulate"]["ratio"] == pytest.approx(1.25)
-
-        code = tcompare.main([str(manifest_path), str(baseline_path),
-                              "--json", "--threshold", "0.5"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert report["regressed"] == 0
-        assert report["threshold"] == pytest.approx(0.5)
-
-
-class TestBenchBaselineFile:
-    def test_repo_bench_file_is_comparable(self):
-        """BENCH_perf.json must stay a valid compare baseline."""
-        with open("BENCH_perf.json") as handle:
-            bench = json.load(handle)
-        means = tcompare.phase_means(bench)
-        assert "simulate" in means
-        assert all(v > 0 for v in means.values())

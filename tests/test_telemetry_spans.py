@@ -1,4 +1,5 @@
-"""Tests for the hierarchical span / counter core of repro.telemetry."""
+"""Tests for the hierarchical span core of repro.telemetry (and how it
+carries the metrics registry across processes)."""
 
 import io
 import json
@@ -59,17 +60,9 @@ class TestSpanTree:
         assert figure(21) == 42
         assert telemetry.phase_stats()["decorated.run"]["calls"] == 1
 
-    def test_legacy_phases_shape(self):
-        with telemetry.phase("generate"):
-            pass
-        snapshot = telemetry.phases()
-        calls, total = snapshot["generate"]
-        assert calls == 1 and total >= 0.0
-
 
 class TestRetention:
     def test_trees_retained_only_when_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERF", raising=False)
         monkeypatch.delenv("REPRO_SPANS", raising=False)
         with telemetry.span("root"):
             pass
@@ -102,15 +95,18 @@ class TestRetention:
 
 class TestSnapshotMerge:
     def test_counters_and_phases_merge(self):
-        telemetry.count("cache.hit.stats", 3)
+        telemetry.inc("repro_cache_requests_total", 3,
+                      kind="stats", result="hit")
         with telemetry.phase("simulate"):
             pass
         snap = telemetry.snapshot()
         telemetry.reset()
-        telemetry.count("cache.hit.stats", 1)
+        telemetry.inc("repro_cache_requests_total",
+                      kind="stats", result="hit")
         telemetry.merge_snapshot(snap)
         telemetry.merge_snapshot(snap)
-        assert telemetry.counters()["cache.hit.stats"] == 7
+        assert telemetry.metrics.REGISTRY.value(
+            "repro_cache_requests_total", kind="stats", result="hit") == 7
         assert telemetry.phase_stats()["simulate"]["calls"] == 2
 
     def test_merge_tags_worker_spans_with_pid(self, monkeypatch):
@@ -127,7 +123,8 @@ class TestSnapshotMerge:
     def test_merge_none_and_empty_are_noops(self):
         telemetry.merge_snapshot(None)
         telemetry.merge_snapshot({})
-        assert telemetry.counters() == {}
+        assert telemetry.metrics.REGISTRY.counters_flat() == {}
+        assert telemetry.phase_stats() == {}
 
     def test_legacy_two_field_phase_cells(self):
         # Snapshots from older writers may lack the self-time field.
@@ -139,11 +136,16 @@ class TestSnapshotMerge:
 
 class TestReport:
     def test_report_has_self_column_and_counter(self):
+        """The report is the phase table; a counter shows up in the
+        registry's exposition, never as a second table in the report."""
         with telemetry.phase("fig10"):
             with telemetry.phase("simulate"):
                 pass
-        telemetry.count("cache.hit.trace")
+        telemetry.inc("repro_cache_requests_total",
+                      kind="trace", result="hit")
         text = telemetry.report()
         assert "self" in text.splitlines()[1]
         assert "fig10" in text and "simulate" in text
-        assert "cache.hit.trace" in text
+        assert "repro_cache_requests_total" not in text
+        assert 'repro_cache_requests_total{kind="trace",result="hit"} 1' \
+            in telemetry.render_prometheus()

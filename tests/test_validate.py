@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import telemetry
 from repro.cache import ArtifactCache
 from repro.cpu import GOOGLE_TABLET, SimStats, simulate
 from repro.cpu.config import (
@@ -142,6 +143,66 @@ class TestCorruptedRunsRejected:
                 complete=[], commit=[],
             )
         assert not exc.value.report.ok
+
+
+class TestViolationMetric:
+    """Every violation a non-strict validator sees bumps
+    ``repro_validate_violations_total{kind}`` once, and the count rides
+    the telemetry snapshot channel like every other registry counter."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_telemetry(self):
+        telemetry.reset()
+        yield
+        telemetry.reset()
+
+    def _violating_run(self):
+        class Capture(RunValidator):
+            def on_run(self, **run):
+                self.run = run
+                return super().on_run(**run)
+
+        capture = Capture(strict=False)
+        simulate(small_trace(), validator=capture)
+        assert capture.reports[0].ok
+        run = dict(capture.run)
+        decode = list(run["decode"])
+        for pos in (3, 10):  # decode before fetch, twice
+            decode[pos] = run["fetch"][pos] - 1
+        run["decode"] = decode
+        run["stats"].fetch.active -= 1  # one stall-conservation leak
+        return run
+
+    def _counts(self):
+        return telemetry.metrics.REGISTRY.counters_flat(
+            "repro_validate_violations_total")
+
+    def test_counter_rises_once_per_violation_by_kind(self):
+        report = RunValidator(strict=False).on_run(**self._violating_run())
+        assert sorted(v.kind for v in report.violations) == [
+            "fetch_stall_conservation", "timestamp_monotonicity",
+            "timestamp_monotonicity"]
+        expected = {
+            "repro_validate_violations_total"
+            "{kind=timestamp_monotonicity}": 2,
+            "repro_validate_violations_total"
+            "{kind=fetch_stall_conservation}": 1,
+        }
+        assert self._counts() == expected
+
+        snap = telemetry.snapshot()
+        telemetry.reset()
+        assert self._counts() == {}
+        telemetry.merge_snapshot(snap)
+        assert self._counts() == expected
+        telemetry.merge_snapshot(snap)
+        assert self._counts() == {k: 2 * v for k, v in expected.items()}
+
+    def test_clean_run_counts_nothing(self):
+        validator = RunValidator(strict=False)
+        simulate(small_trace(), validator=validator)
+        assert validator.reports[0].ok
+        assert self._counts() == {}
 
 
 class TestEnvGating:
