@@ -20,10 +20,10 @@ The contract every executor honors:
   attempts never leak partial results.
 * ``shutdown()`` is idempotent and reclaims every worker process.
 
-The retry/backoff/timeout knobs live in :class:`RetryPolicy`
-(env-overridable, ``REPRO_DISPATCH_*``); the executors share it so a
-sweep behaves the same whether cells run in-process or on a socket
-fleet.
+The retry/backoff/timeout knobs live in :class:`RetryPolicy` (the
+timeout is env-overridable, ``REPRO_DISPATCH_TIMEOUT``); the executors
+share it so a sweep behaves the same whether cells run in-process or on
+a socket fleet.
 """
 
 from __future__ import annotations
@@ -86,55 +86,32 @@ def _env_float(name: str, default: float, minimum: float = 0.0) -> float:
     return max(minimum, value)
 
 
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r} (not an integer); "
-            f"using {default}",
-            RuntimeWarning, stacklevel=2,
-        )
-        return default
-    return max(minimum, value)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How failures are retried, and how long any attempt may run.
 
-    All executors share one policy object; the environment knobs are the
-    single source of defaults so ``REPRO_DISPATCH_TIMEOUT=30`` means the
-    same thing to the inline path and to the fleet broker.
+    All executors share one policy object, so
+    ``REPRO_DISPATCH_TIMEOUT=30`` means the same thing to the inline path
+    and to the fleet broker.  The other fields have no environment knob;
+    callers that need other values pass a policy of their own.
     """
 
     #: per-attempt wall-clock budget, seconds (``REPRO_DISPATCH_TIMEOUT``)
     timeout_s: float = 600.0
     #: total attempts per task before quarantine
-    #: (``REPRO_DISPATCH_ATTEMPTS``)
     max_attempts: int = 3
     #: base of the exponential retry backoff
-    #: (``REPRO_DISPATCH_BACKOFF``)
     backoff_base_s: float = 0.05
     #: backoff ceiling — retries never wait longer than this
     backoff_cap_s: float = 2.0
-    #: fleet worker heartbeat interval (``REPRO_DISPATCH_HEARTBEAT``);
-    #: a lease with no heartbeat for 4 intervals is declared dead
+    #: fleet worker heartbeat interval; a lease with no heartbeat for 4
+    #: intervals is declared dead
     heartbeat_s: float = 1.0
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        return cls(
-            timeout_s=_env_float("REPRO_DISPATCH_TIMEOUT", 600.0,
-                                 minimum=0.1),
-            max_attempts=_env_int("REPRO_DISPATCH_ATTEMPTS", 3),
-            backoff_base_s=_env_float("REPRO_DISPATCH_BACKOFF", 0.05),
-            heartbeat_s=_env_float("REPRO_DISPATCH_HEARTBEAT", 1.0,
-                                   minimum=0.05),
-        )
+        return cls(timeout_s=_env_float("REPRO_DISPATCH_TIMEOUT", 600.0,
+                                        minimum=0.1))
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before attempt number ``attempt`` (1-based:

@@ -12,7 +12,7 @@ optional ``;seed=N`` suffix.  Kinds:
 
 ==========  ==========================================================
 ``kill``    the worker SIGKILLs itself mid-attempt (no cleanup, no
-            spool — exactly what an OOM-kill or node loss looks like)
+            result — exactly what an OOM-kill or node loss looks like)
 ``drop``    the attempt completes but the result is never sent; the
             worker asks for new work, which the broker treats as a
             surrendered lease and requeues immediately

@@ -18,11 +18,10 @@ Central plumbing for every figure/table reproduction:
   the in-process memo with the results, so figure modules stay simple
   serial loops;
 * workers report their telemetry (phase timers, metrics, span trees)
-  back with their results — spooled to temp files when a worker
-  crashes — so phase and metric totals are fleet-wide; retried attempts'
-  telemetry is discarded so a retried cell is counted exactly once; and
-  every invocation leaves a run manifest (including the executor's
-  per-task attempt records) next to the artifact cache;
+  back with their results, so phase and metric totals are fleet-wide;
+  failed attempts report nothing, so a retried cell is counted exactly
+  once; and every invocation leaves a run manifest (including the
+  executor's per-task attempt records) next to the artifact cache;
 * trace length is controlled by ``REPRO_WALK_BLOCKS`` (default 700 dynamic
   blocks, ~25-60k instructions per app) so benches run at laptop scale;
   the paper's full-scale methodology (100 x 500k-instruction samples) is
@@ -31,13 +30,11 @@ Central plumbing for every figure/table reproduction:
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.cache import artifact_key, get_cache
@@ -401,111 +398,26 @@ def _run_batch_cell(
     return name, f"{scheme}|{_BATCH_TAG}", cell
 
 
-def _spool_snapshot(spool_dir: str, name: str, config_name: str) -> None:
-    """Best-effort dump of this process's telemetry for the parent.
+def _cell_task(*args, body=_run_cell, capture_telemetry: bool = True,
+               ) -> Tuple[str, str, Dict[str, SimStats], Optional[Dict]]:
+    """The dispatch task wrapper: run ``body(*args)`` for one cell —
+    :func:`_run_cell` (app x config) or :func:`_run_batch_cell` (app x
+    scheme over many configs).
 
-    The snapshot is tagged with the cell identity so the parent can drop
-    it if that cell ends up retried serially (whose telemetry would
-    otherwise be counted twice).
-    """
-    try:
-        fd, _path = tempfile.mkstemp(
-            dir=spool_dir, prefix="telemetry-", suffix=".json",
-        )
-        with os.fdopen(fd, "w") as handle:
-            json.dump({"cell": [name, config_name],
-                       "snapshot": telemetry.snapshot()}, handle)
-    except OSError:
-        pass
-
-
-
-
-def _cell_task(
-    name: str, blocks: int, schemes: Tuple[str, ...], config: CpuConfig,
-    engine: Optional[str] = None, workload_family: str = "default",
-    spool_dir: Optional[str] = None, capture_telemetry: bool = True,
-) -> Tuple[str, str, Dict[str, SimStats], Optional[Dict]]:
-    """The dispatch task body for one app x config cell.
-
-    Out-of-process attempts (``capture_telemetry=True``, the executors'
-    default kwargs) reset/snapshot telemetry and ship it back as a
-    delta; in-parent attempts (the inline executor and quarantine
-    fallback, via ``inline_kwargs``) record telemetry live under the
-    classic ``run_apps.serial`` phase and return no snapshot — merging
-    one would double-count the cell.
+    Out-of-process attempts (``capture_telemetry=True``, the default)
+    reset/snapshot telemetry and ship it back as a delta; in-parent
+    attempts (the inline executor and quarantine fallback, via
+    ``inline_kwargs``) record telemetry live under the classic
+    ``run_apps.serial`` phase and return no snapshot — merging one would
+    double-count the cell.  An attempt that raises ships nothing: its
+    cell is retried or quarantined, and only the attempt that completes
+    reports.
     """
     if not capture_telemetry:
         with telemetry.phase("run_apps.serial"):
-            app, config_name, cell = _run_cell(name, blocks, schemes,
-                                               config, engine,
-                                               workload_family)
-        return app, config_name, cell, None
+            return (*body(*args), None)
     telemetry.reset()
-    try:
-        result = _run_cell(name, blocks, schemes, config, engine,
-                           workload_family)
-    except BaseException:
-        _spool_snapshot(spool_dir, name, config.name)
-        raise
-    return (*result, telemetry.snapshot())
-
-
-def _batch_cell_task(
-    name: str, blocks: int, scheme: str, configs: Tuple[CpuConfig, ...],
-    workload_family: str = "default",
-    spool_dir: Optional[str] = None, capture_telemetry: bool = True,
-) -> Tuple[str, str, Dict[str, SimStats], Optional[Dict]]:
-    """The dispatch task body for one batched app x scheme cell — the
-    batch-engine counterpart of :func:`_cell_task`, with the same
-    telemetry reset/snapshot/spool protocol (spool tag
-    ``(name, "<scheme>|batch")`` matches the task id)."""
-    if not capture_telemetry:
-        with telemetry.phase("run_apps.serial"):
-            app, tag, cell = _run_batch_cell(name, blocks, scheme,
-                                             configs, workload_family)
-        return app, tag, cell, None
-    telemetry.reset()
-    try:
-        result = _run_batch_cell(name, blocks, scheme, configs,
-                                 workload_family)
-    except BaseException:
-        _spool_snapshot(spool_dir, name, f"{scheme}|{_BATCH_TAG}")
-        raise
-    return (*result, telemetry.snapshot())
-
-
-def _drain_spool(spool_dir: str,
-                 skip: Optional[Set[Tuple[str, str]]] = None) -> None:
-    """Merge and remove any worker telemetry spooled under ``spool_dir``.
-
-    Snapshots tagged with a cell in ``skip`` are discarded instead of
-    merged: those cells are about to be re-run serially in the parent,
-    and merging the crashed attempt's partial telemetry on top of the
-    retry's would double-count the cell's work.
-    """
-    try:
-        names = os.listdir(spool_dir)
-    except OSError:
-        return
-    for entry in names:
-        path = os.path.join(spool_dir, entry)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            cell = tuple(payload.get("cell") or ())
-            if not (skip and cell in skip):
-                telemetry.merge_snapshot(payload["snapshot"])
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    try:
-        os.rmdir(spool_dir)
-    except OSError:
-        pass
+    return (*body(*args), telemetry.snapshot())
 
 
 def _batch_manifest_block() -> Optional[Dict[str, object]]:
@@ -597,9 +509,8 @@ def run_apps(apps: Sequence[str],
     ``ctx.stats(...)`` calls made by figure modules are hits.
 
     Each worker ships its telemetry snapshot (phases, metrics, span
-    trees) back with its result — with a temp-file spool as the fallback
-    channel for workers that raise — and the parent merges exactly one
-    snapshot per cell (retried attempts are discarded), so the phase
+    trees) back with its result, and the parent merges exactly one
+    snapshot per cell (failed attempts ship none), so the phase
     table and the metrics registry cover the whole fleet without
     double-counting.  Every invocation also writes a run manifest
     (config hash, seeds, cache hit/miss counts, wall time, phase table,
@@ -705,8 +616,6 @@ def _run_apps_grid(
             results[name][(scheme, config_name)] = stats
             ctx._stats[(scheme, config_name)] = stats
 
-    spool = None if backend == "inline" \
-        else tempfile.mkdtemp(prefix="repro-telemetry-spool-")
     if engine == "batch":
         # The batch engine amortizes the cycle loop across configs of one
         # trace, so the task axis flips: one task per app x scheme cell
@@ -719,10 +628,10 @@ def _run_apps_grid(
         tasks = [
             TaskSpec(
                 id=f"{name}|{scheme}|{_BATCH_TAG}",
-                fn=_batch_cell_task,
+                fn=_cell_task,
                 args=(name, blocks, scheme, tuple(batch_configs),
                       workload_family),
-                kwargs={"spool_dir": spool, "capture_telemetry": True},
+                kwargs={"body": _run_batch_cell},
                 inline_kwargs={"capture_telemetry": False},
             )
             for (name, scheme), batch_configs in grouped.items()
@@ -732,10 +641,8 @@ def _run_apps_grid(
             TaskSpec(
                 id=f"{name}|{config.name}",
                 fn=_cell_task,
-                args=(name, blocks, missing, config,
-                      None if engine == "inline" else engine,
+                args=(name, blocks, missing, config, engine,
                       workload_family),
-                kwargs={"spool_dir": spool, "capture_telemetry": True},
                 inline_kwargs={"capture_telemetry": False},
             )
             for name, config, missing in todo
@@ -754,20 +661,6 @@ def _run_apps_grid(
                 task_results = exec_obj.drain()
     finally:
         exec_obj.shutdown()
-        if spool is not None:
-            # Keep spooled snapshots only for cells that completed
-            # cleanly on their first out-of-process attempt.  Any cell
-            # that failed, retried, or quarantined re-records (or
-            # discards) its telemetry elsewhere; merging its crashed
-            # attempts' partial spools would double-count the cell.
-            clean = {
-                tuple(r.task_id.split("|", 1)) for r in task_results
-                if r.ok and len(r.attempts) == 1 and not r.quarantined
-            }
-            # Task ids are "<app>|<config>" or "<app>|<scheme>|batch";
-            # one split mirrors the spool tags for both shapes.
-            every = {tuple(t.id.split("|", 1)) for t in tasks}
-            _drain_spool(spool, skip=every - clean)
 
     batch_suffix = f"|{_BATCH_TAG}"
     for result in task_results:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Dict, List, Optional, Set, Tuple
@@ -54,7 +53,6 @@ from repro.dispatch.fleet import ENV_TOKEN, PersistentFleet
 from repro.experiments.runner import (
     DEFAULT_WALK_BLOCKS,
     _cell_task,
-    _drain_spool,
     app_context,
 )
 from repro.experiments.sweep import SweepSpec
@@ -413,8 +411,6 @@ class ServeServer:
                        job: _Job) -> AsyncIterator[Dict[str, Any]]:
         spec = job.spec
         engine = (spec.engine or "").strip() or None
-        if engine == "inline":
-            engine = None
         family = spec.workload_family or "default"
         # Probe the warm path first: memo + disk cache, no fleet.
         todo: List[Tuple[str, CpuConfig, Tuple[str, ...],
@@ -484,15 +480,12 @@ class ServeServer:
             if own:
                 compute.append((name, config, tuple(own), keys))
 
-        spool = tempfile.mkdtemp(prefix="repro-serve-spool-") \
-            if self.fleet is not None and compute else None
         tasks = [
             TaskSpec(
                 id=f"{job.id}|{name}|{config.name}",
                 fn=_cell_task,
                 args=(name, job.blocks, missing, config, engine,
                       family),
-                kwargs={"spool_dir": spool, "capture_telemetry": True},
                 inline_kwargs={"capture_telemetry": False},
             )
             for name, config, missing, _keys in compute
@@ -509,7 +502,6 @@ class ServeServer:
             job.pending.add(sub_id)
             asyncio.ensure_future(self._await_coalesced(
                 job, sub_id, name, scheme, config_name, fut))
-        results: List[TaskResult] = []
         try:
             if self.fleet is not None:
                 for task in tasks:
@@ -535,7 +527,6 @@ class ServeServer:
                     continue
                 result = item
                 job.pending.discard(result.task_id)
-                results.append(result)
                 _jid, name, config_name = result.task_id.split("|", 2)
                 task_keys = keys_by_task.get(result.task_id, {})
                 if result.ok:
@@ -574,15 +565,6 @@ class ServeServer:
                     job, key,
                     ("error", "the computing job ended before this "
                               "cell resolved"))
-            if spool is not None:
-                clean = {
-                    tuple(r.task_id.split("|", 2)[1:]) for r in results
-                    if r.ok and len(r.attempts) == 1
-                    and not r.quarantined
-                }
-                every = {tuple(t.id.split("|", 2)[1:]) for t in tasks}
-                await asyncio.to_thread(
-                    _drain_spool, spool, every - clean)
 
     def _resolve_inflight(self, job: _Job, key: Optional[str],
                           outcome: Tuple[Any, ...]) -> None:

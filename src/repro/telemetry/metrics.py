@@ -28,10 +28,10 @@ The registry rides the same cross-process channels as spans: its state
 is folded into :func:`repro.telemetry.spans.snapshot` (under the
 ``"metrics"`` key), merged back by ``merge_snapshot``, and cleared by
 ``reset`` — which means the parallel runner's exactly-once-across-
-retries discipline (only the successful attempt's snapshot merges; the
-crashed-worker spool is dropped for retried cells) applies to metrics
-for free, and a fleet run under fault injection yields counter totals
-bit-equal to an inline run.
+retries discipline (only the successful attempt's snapshot merges;
+failed attempts ship none) applies to metrics for free, and a fleet
+run under fault injection yields counter totals bit-equal to an inline
+run.
 
 Metrics are **provenance, never semantics**: nothing reads them back
 into the pipeline, they are excluded from ``config_hash`` / artifact

@@ -212,9 +212,8 @@ def reset() -> None:
 def snapshot() -> Dict[str, Any]:
     """Picklable/JSON-safe copy of this process's telemetry state.
 
-    Worker processes return this through the pool (or spool it to a temp
-    file when they crash); the parent folds it back in with
-    :func:`merge_snapshot`.
+    Worker processes return this with their task results; the parent
+    folds it back in with :func:`merge_snapshot`.
     """
     return {
         "pid": os.getpid(),

@@ -6,7 +6,7 @@ mix of fast-path and fallback cells the batch contains.  These tests
 exercise that contract on small grids, plus the memoization-sharing and
 heterogeneous-grouping guarantees, engine selection, and the loud
 numpy error.  The full 56-cell golden comparison runs in CI under
-``REPRO_SIM_ENGINE=batch`` (the ``batch-smoke`` job).
+``REPRO_SIM_ENGINE=batch`` (the ``integration`` job).
 """
 
 import sys
@@ -304,6 +304,17 @@ class TestEngineSelection:
         # The kwarg wins over the env.
         assert simulate(
             trace, GOOGLE_TABLET, engine="inline").to_dict() == baseline
+
+    def test_run_apps_engine_kwarg_wins_over_env(self, monkeypatch):
+        # An explicit inline engine must reach simulate() as "inline",
+        # not as None that re-reads REPRO_SIM_ENGINE inside the cell.
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "batch")
+        telemetry.reset()
+        runner.run_apps(["Music"], jobs=1, walk_blocks=60, engine="inline")
+        assert telemetry.metrics.REGISTRY.counters_flat(
+            "repro_batch_cells_total") == {}
+        manifest = load_manifest(str(manifest_dir() / LAST_RUN))
+        assert manifest["engine"] == "inline@1"
 
     def test_unknown_engine_fails_loudly(self):
         trace = _fresh_trace()

@@ -142,20 +142,13 @@ class TestRetryPolicy:
 
     def test_from_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_DISPATCH_ATTEMPTS", "5")
-        monkeypatch.setenv("REPRO_DISPATCH_BACKOFF", "0.5")
-        monkeypatch.setenv("REPRO_DISPATCH_HEARTBEAT", "0.25")
-        policy = RetryPolicy.from_env()
-        assert policy.timeout_s == 12.5
-        assert policy.max_attempts == 5
-        assert policy.backoff_base_s == 0.5
-        assert policy.heartbeat_s == 0.25
+        assert RetryPolicy.from_env() == RetryPolicy(timeout_s=12.5)
 
     def test_from_env_malformed_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_ATTEMPTS", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_DISPATCH_ATTEMPTS"):
+        monkeypatch.setenv("REPRO_DISPATCH_TIMEOUT", "soon")
+        with pytest.warns(RuntimeWarning, match="REPRO_DISPATCH_TIMEOUT"):
             policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 3
+        assert policy.timeout_s == 600.0
 
 
 class TestTaskSpec:

@@ -2,11 +2,11 @@
 
 Regression tests for the parallel runner silently dropping telemetry
 phases/metrics recorded inside worker processes: fleet totals (e.g.
-``simulate`` call counts) must match the serial run's, and even a
-*crashing* worker's telemetry must be recovered through the temp-file
-spool channel.  With execution behind the ``EXECUTORS`` registry, the
-same exactly-once discipline is asserted for the fleet — including a
-fleet whose workers are being killed by the fault injector mid-sweep.
+``simulate`` call counts) must match the serial run's, even when every
+remote attempt crashes and the cell quarantines to the parent.  With
+execution behind the ``EXECUTORS`` registry, the same exactly-once
+discipline is asserted for the fleet — including a fleet whose workers
+are being killed by the fault injector mid-sweep.
 """
 
 import time
@@ -161,7 +161,6 @@ class TestPerExecutorTelemetry:
         serial = self._serial_reference(tmp_path, monkeypatch,
                                         ("baseline",))
         monkeypatch.setenv("REPRO_DISPATCH_FAULTS", "kill:0.6;seed=7")
-        monkeypatch.setenv("REPRO_DISPATCH_BACKOFF", "0.01")
         results = run_apps(APPS, ("baseline",), jobs=2, walk_blocks=WALK,
                            executor="fleet")
         assert all(results[name] for name in APPS)
@@ -180,7 +179,6 @@ class TestPerExecutorTelemetry:
         """The exploding-recipe regression, per backend: every remote
         attempt crashes, the cell quarantines to the parent, and the
         parent's totals still match a plain serial run's."""
-        monkeypatch.setenv("REPRO_DISPATCH_BACKOFF", "0.01")
         with SCHEME_RECIPES.scoped("explode-after-work",
                                    _exploding_recipe):
             serial = self._serial_reference(
@@ -232,7 +230,6 @@ class TestMetricsExactlyOnce:
         inline run exactly — not approximately."""
         inline = self._inline_reference(monkeypatch)
         monkeypatch.setenv("REPRO_DISPATCH_FAULTS", faults)
-        monkeypatch.setenv("REPRO_DISPATCH_BACKOFF", "0.01")
         results = run_apps(APPS, ("baseline",), jobs=2, walk_blocks=WALK,
                            executor="fleet")
         assert all(results[name] for name in APPS)
@@ -252,7 +249,6 @@ class TestMetricsExactlyOnce:
         monkeypatch.setenv(events.ENV_EVENTS, str(log))
         events.set_path(None)  # re-read the env
         monkeypatch.setenv("REPRO_DISPATCH_FAULTS", "kill:0.6;seed=7")
-        monkeypatch.setenv("REPRO_DISPATCH_BACKOFF", "0.01")
         try:
             run_apps(APPS, ("baseline",), jobs=2, walk_blocks=WALK,
                      executor="fleet")
