@@ -12,21 +12,18 @@ JSON and stores it through a narrow :class:`CacheBackend`:
 
   (default root ``~/.cache/repro``), written atomically (tmp file +
   ``os.replace``) so concurrent runners never observe torn files.
-* ``remote`` (:class:`RemoteBackend`) — a read-through client that
-  fetches blobs from a ``repro.serve`` cache endpoint over the
-  :mod:`repro.dispatch.wire` framing and writes them back into the
-  local tier.  An unreachable or misbehaving server degrades to a
-  miss (compute locally, write locally) — never an exception.
-* ``tiered`` (:class:`TieredBackend`) — local-over-remote composition:
-  answer from disk when possible, fall back to the network, write back
-  what the network served.
+* ``remote`` (:class:`RemoteBackend`) — local disk first, then a
+  read-through client that fetches the blobs disk lacks from a
+  ``repro.serve`` cache endpoint over the :mod:`repro.dispatch.wire`
+  framing and writes them back into the local tier.  An unreachable or
+  misbehaving server degrades to a miss (compute locally, write
+  locally) — never an exception.
 
 The backend is selected by the ``REPRO_CACHE_BACKEND`` spec::
 
     local                     today's directory store (the default)
     local:/other/root         same, rooted elsewhere
-    remote:host:7017          read-through against a serve wire front
-    tiered:host:7017?token=s  local first, then the remote tier
+    remote:host:7017?token=s  local first, then a serve wire front
 
 and is recorded in run manifests for provenance — but never enters
 ``config_hash``: *where* an artifact came from cannot change *what* it
@@ -324,12 +321,14 @@ class RemoteTier:
 
 
 class RemoteBackend:
-    """Read-through remote tier with local write-back.
+    """Local disk over a read-through remote tier, with write-back.
 
-    Reads go to the network first; a hit is written back into the local
-    tier (so the *next* run answers from disk even if the server is
-    gone) and a miss — or any network failure — falls through to a
-    plain miss: the caller computes and ``put`` lands locally.
+    Reads answer from local disk when it holds the content-addressed
+    blob and ask the network only otherwise; a network hit is written
+    back into the local tier (so the *next* run answers from disk even
+    if the server is gone) and a miss — or any network failure — falls
+    through to a plain miss: the caller computes and ``put`` lands
+    locally.
     """
 
     name = "remote"
@@ -339,6 +338,9 @@ class RemoteBackend:
         self.tier = tier
 
     def get(self, kind: str, key: str) -> Optional[str]:
+        text = self.local.get(kind, key)
+        if text is not None:
+            return text
         text = self.tier.fetch(kind, key)
         if text is not None:
             self.local.put(kind, key, text)
@@ -360,19 +362,6 @@ class RemoteBackend:
         self.tier.close()
 
 
-class TieredBackend(RemoteBackend):
-    """Local-over-remote composition: disk answers first, the remote
-    tier backfills what disk doesn't have."""
-
-    name = "tiered"
-
-    def get(self, kind: str, key: str) -> Optional[str]:
-        text = self.local.get(kind, key)
-        if text is not None:
-            return text
-        return super().get(kind, key)
-
-
 def parse_backend_spec(spec: str) -> Dict[str, Any]:
     """Parse a ``REPRO_CACHE_BACKEND`` spec string.
 
@@ -381,8 +370,7 @@ def parse_backend_spec(spec: str) -> Dict[str, Any]:
         ""                      -> local, default root
         "local"                 -> local, default root
         "local:/some/root"      -> local, rooted there
-        "remote:host:7017"      -> remote read-through
-        "tiered:host:7017?root=/r&token=s" -> local over remote
+        "remote:host:7017?root=/r&token=s" -> local over remote
 
     Raises :class:`ValueError` on an unknown mode, a missing host:port,
     or an unknown query option — a misspelled backend must fail loudly,
@@ -394,16 +382,16 @@ def parse_backend_spec(spec: str) -> Dict[str, Any]:
     mode, _, rest = spec.partition(":")
     if mode == "local":
         return {"mode": "local", "root": rest or None}
-    if mode not in ("remote", "tiered"):
+    if mode != "remote":
         raise ValueError(
             f"unknown cache backend {mode!r} in spec {spec!r} "
-            f"(choose local, remote, or tiered)"
+            f"(choose local or remote)"
         )
     rest, _, query = rest.partition("?")
     host, _, port = rest.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(
-            f"cache backend spec {spec!r} needs {mode}:HOST:PORT"
+            f"cache backend spec {spec!r} needs remote:HOST:PORT"
         )
     opts = {k: v[-1] for k, v in
             urllib.parse.parse_qs(query, keep_blank_values=True).items()}
@@ -445,8 +433,7 @@ def backend_from_spec(spec: Optional[str] = None,
         parsed["host"], parsed["port"], token=token,
         timeout_s=parsed.get("timeout_s") or REMOTE_TIMEOUT_S,
     )
-    cls = TieredBackend if parsed["mode"] == "tiered" else RemoteBackend
-    return cls(local, tier)
+    return RemoteBackend(local, tier)
 
 
 # -- the typed cache ---------------------------------------------------------

@@ -17,11 +17,12 @@ Central plumbing for every figure/table reproduction:
   the sweep CLI's ``--executor``) sized by ``REPRO_JOBS``, and seeds
   the in-process memo with the results, so figure modules stay simple
   serial loops;
-* workers report their telemetry (phase timers, metrics, span trees)
-  back with their results, so phase and metric totals are fleet-wide;
-  failed attempts report nothing, so a retried cell is counted exactly
-  once; and every invocation leaves a run manifest (including the
-  executor's per-task attempt records) next to the artifact cache;
+* workers report their telemetry (phase timers, metrics) back with
+  their results, so phase and metric totals are fleet-wide; failed
+  attempts report nothing, so a retried cell is counted exactly once;
+  spans go straight to the shared ``REPRO_EVENTS`` log under each
+  process's pid; and every invocation leaves a run manifest (including
+  the executor's per-task attempt records) next to the artifact cache;
 * trace length is controlled by ``REPRO_WALK_BLOCKS`` (default 700 dynamic
   blocks, ~25-60k instructions per app) so benches run at laptop scale;
   the paper's full-scale methodology (100 x 500k-instruction samples) is
@@ -508,14 +509,16 @@ def run_apps(apps: Sequence[str],
     SimStats``) and in the per-app in-process memos, so subsequent
     ``ctx.stats(...)`` calls made by figure modules are hits.
 
-    Each worker ships its telemetry snapshot (phases, metrics, span
-    trees) back with its result, and the parent merges exactly one
-    snapshot per cell (failed attempts ship none), so the phase
-    table and the metrics registry cover the whole fleet without
-    double-counting.  Every invocation also writes a run manifest
-    (config hash, seeds, cache hit/miss counts, wall time, phase table,
-    executor attempt records) next to the artifact cache; see
-    :mod:`repro.telemetry.manifest`.
+    Each worker ships its telemetry snapshot (phases, metrics) back
+    with its result, and the parent merges exactly one snapshot per
+    cell (failed attempts ship none), so the phase table and the
+    metrics registry cover the whole fleet without double-counting.
+    Spans are not shipped: with ``REPRO_EVENTS`` set, every process
+    appends its own ``span`` events to the shared event log.  Every
+    invocation also writes a run manifest (config hash, seeds, cache
+    hit/miss counts, wall time, phase table, executor attempt records)
+    next to the artifact cache and emits its ``run.recorded`` event;
+    see :mod:`repro.telemetry.manifest`.
     """
     blocks = walk_blocks if walk_blocks is not None else DEFAULT_WALK_BLOCKS
     schemes = tuple(schemes)

@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "keys and config_hash when not default)")
     parser.add_argument("--cache-backend", default=None, metavar="SPEC",
                         help="artifact-cache backend spec: local, "
-                             "local:/root, remote:HOST:PORT, or "
-                             "tiered:HOST:PORT (default "
+                             "local:PATH, or remote:HOST:PORT (local "
+                             "disk first, then the network; default "
                              "REPRO_CACHE_BACKEND or local); exported "
                              "to the environment so fleet workers "
                              "inherit it")

@@ -31,9 +31,9 @@ overhead, not a different computation.
 Multi-host: ``--fleet-bind`` puts the fleet broker on a real interface
 so ``python -m repro.dispatch.worker --connect`` (or ``--discover``
 against the wire front) joins workers from other machines, and the wire
-front's ``cache.get`` endpoint serves artifacts to ``remote:``/
-``tiered:`` cache backends (:mod:`repro.cache`) — a sweep computed on
-this host is answered 100% warm on any other.
+front's ``cache.get`` endpoint serves artifacts to ``remote:`` cache
+backends (:mod:`repro.cache`) — a sweep computed on this host is
+answered 100% warm on any other.
 """
 
 from repro.serve.server import JobBusyError, JobError, ServeServer

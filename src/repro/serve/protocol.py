@@ -18,7 +18,7 @@ Client → server:
   (answered with ``bye`` before the drain starts).
 * ``{"type": "cache.get", "kind": ..., "key": ..., "token": ...}`` —
   fetch one artifact blob from this host's local cache tier (the
-  ``remote:``/``tiered:`` cache backends' read path); answered with
+  ``remote:`` cache backend's read path); answered with
   ``cache.blob``.
 * ``{"type": "join", "worker": <name>, "token": ...}`` — worker
   registration: ask where the fleet broker lives; answered with

@@ -27,8 +27,8 @@ Hardening and multi-host duties layered on top:
   uncached cell subscribe to the first computation (keyed by the
   cell's content address), so a cold concurrent burst computes each
   grid cell exactly once;
-* **cache-read endpoint** (``cache.get``) — remote/tiered cache
-  backends on other hosts read artifacts through the wire front, each
+* **cache-read endpoint** (``cache.get``) — remote cache backends
+  on other hosts read artifacts through the wire front, each
   answered from the local tier only (see
   :meth:`repro.cache.ArtifactCache.peek_local`);
 * **worker registration** (``join``) — a TCP worker asks where the

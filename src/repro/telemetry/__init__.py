@@ -4,13 +4,13 @@ structured events, flight recorder, run manifests, trace export.
 One import surface over several pieces:
 
 * **spans** (:mod:`repro.telemetry.spans`) — ``span(name, **attrs)``
-  context managers form trees with self-vs-cumulative time, aggregate
-  into an always-on phase table, and serialize across process
+  context managers nest with self-vs-cumulative time and aggregate
+  into an always-on phase table that serializes across process
   boundaries (``snapshot()`` / ``merge_snapshot()``) so the parallel
   runner reports fleet-wide totals.  :func:`report` renders the phase
   table (``report --perf`` prints it; every run manifest records it).
-  ``REPRO_SPANS=1`` retains span trees for :func:`dump_spans`, and
-  ``REPRO_SPANS=<path>`` dumps them as JSONL at exit.
+  Each closed span is also one ``span`` event in the structured event
+  stream.
 * **typed metrics** (:mod:`repro.telemetry.metrics`) — the one counter
   API: labeled counters, gauges, and fixed-bucket histograms in a
   process-local registry that rides the span snapshot/merge channel, so
@@ -18,9 +18,10 @@ One import surface over several pieces:
   discipline.  Rendered as Prometheus text exposition (``metrics.txt``
   next to the run manifest, and ``/metrics`` on ``repro.serve``).
 * **structured events** (:mod:`repro.telemetry.events`) — append-only
-  JSONL narration of the hot operational paths (``REPRO_EVENTS=path``):
-  dispatch attempts/leases/quarantines, worker deaths, batch groups and
-  fallbacks, cache hits/misses, sweep cell lifecycle.
+  JSONL narration of the hot operational paths (``REPRO_EVENTS=path``),
+  the one timeline of a run: spans, dispatch attempts/leases/quarantines,
+  worker deaths, batch groups and fallbacks, cache hits/misses, sweep
+  cell lifecycle, and each recorded run's final counters.
 * **flight recorder** (:mod:`repro.telemetry.recorder`) — opt-in
   per-instruction pipeline event stream (``REPRO_FLIGHT_RECORDER=path``),
   rendered by ``python -m repro.telemetry.view``.
@@ -30,7 +31,7 @@ One import surface over several pieces:
   the artifact cache.
 * **export/live** (:mod:`repro.telemetry.export`,
   :mod:`repro.telemetry.live`) — Chrome-trace/Perfetto JSON export of
-  span dumps (``python -m repro.telemetry.export``) and a live sweep
+  the event log (``python -m repro.telemetry.export``) and a live sweep
   progress view over the event stream
   (``python -m repro.telemetry.live``, or ``--progress`` on the sweep
   CLI).
@@ -59,10 +60,7 @@ from repro.telemetry.recorder import (
     parse_jsonl,
 )
 from repro.telemetry.spans import (
-    MAX_ROOT_SPANS,
     Span,
-    dropped_spans,
-    dump_spans,
     merge_snapshot,
     phase,
     phase_stats,
@@ -71,17 +69,13 @@ from repro.telemetry.spans import (
     snapshot,
     span,
     spanned,
-    spans,
 )
 
 __all__ = [
     "ENV_RECORDER",
     "FlightRecorder",
-    "MAX_ROOT_SPANS",
     "STALL_CAUSES",
     "Span",
-    "dropped_spans",
-    "dump_spans",
     "emit",
     "events",
     "inc",
@@ -99,5 +93,4 @@ __all__ = [
     "snapshot",
     "span",
     "spanned",
-    "spans",
 ]

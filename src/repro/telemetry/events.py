@@ -3,12 +3,13 @@ paths.
 
 Metrics (:mod:`repro.telemetry.metrics`) aggregate; *events* narrate:
 one JSON line per operational fact, in order, with enough fields to
-reconstruct what a sweep actually did — task leases, retries and
-quarantines, worker deaths, batch-group formation and per-cell
-fallbacks, cache hits/misses/corruption, and sweep cell lifecycle.
-Consumers: ``python -m repro.telemetry.live`` (the ``--progress``
-renderer), the Perfetto exporter's counter tracks, CI assertions over
-fault-injected runs, and the ``repro.serve`` request log.
+reconstruct what a sweep actually did — timed spans, task leases,
+retries and quarantines, worker deaths, batch-group formation and
+per-cell fallbacks, cache hits/misses/corruption, sweep cell lifecycle,
+and each recorded run's final counters.  Consumers:
+``python -m repro.telemetry.live`` (the ``--progress`` renderer), the
+Perfetto exporter (``python -m repro.telemetry.export``), CI assertions
+over fault-injected runs, and the ``repro.serve`` request log.
 
 Enable by pointing ``REPRO_EVENTS`` at a file path (``REPRO_EVENTS=0``
 explicitly disables, useful to mask an inherited setting).  Every
@@ -19,13 +20,9 @@ and written with a **single** ``os.write()`` on a raw
 ``O_APPEND|O_CREAT|O_WRONLY`` file descriptor: POSIX guarantees the
 kernel applies the append atomically, so concurrent writers — threads
 *and* processes — interleave whole lines, never fragments, regardless
-of record size.  (The previous implementation used a buffered text
-handle, which split records larger than the TextIO buffer — ~8 KiB,
-e.g. batch-group events with many cells — into multiple syscalls and
-tore under concurrency.)  A module lock serializes the sequence
-counter, sink swaps, and the write itself across threads in one
-process; atomicity across processes comes from ``O_APPEND``.  Each
-record carries::
+of record size.  A module lock serializes the sequence counter, sink
+swaps, and the write itself across threads in one process; atomicity
+across processes comes from ``O_APPEND``.  Each record carries::
 
     {"ts": <unix seconds>, "pid": <writer pid>, "seq": <per-process#>,
      "kind": "<dotted.event.kind>", ...fields}

@@ -18,6 +18,7 @@ result.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import threading
 import time
@@ -141,10 +142,12 @@ def follow(
 ) -> Progress:
     """Tail ``path``, redrawing :meth:`Progress.line` on ``out`` until
     ``stop`` is set (or ``max_wall_s`` elapses).  Tolerates the file not
-    existing yet — the sweep may not have emitted anything."""
+    existing yet — the sweep may not have emitted anything.  A trailing
+    line without its newline is held until the writer finishes it."""
     progress = Progress()
     started = time.monotonic()
     handle: Optional[IO[str]] = None
+    partial = ""
     last_line = ""
     try:
         while True:
@@ -154,7 +157,9 @@ def follow(
                 except OSError:
                     handle = None
             if handle is not None:
-                for event in iter_events(handle):
+                complete, _, partial = \
+                    (partial + handle.read()).rpartition("\n")
+                for event in iter_events(io.StringIO(complete)):
                     progress.feed(event)
                 line = progress.line()
                 if line != last_line:

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 from repro.cache import SCHEMA_VERSION, artifact_key, get_cache
+from repro.telemetry import events as _events
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.spans import phase_stats as _phase_stats
 
@@ -167,7 +168,15 @@ def record_run(
     workload_family: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Optional[Path]:
-    """:func:`build_manifest` + :func:`write_manifest` in one call."""
+    """:func:`build_manifest` + :func:`write_manifest` in one call.
+
+    Also emits one ``run.recorded`` event carrying the registry's
+    counter totals: the exporter draws them as counter tracks, and its
+    writer is the run's parent process.
+    """
+    if _events.enabled():
+        _events.emit("run.recorded", run=kind,
+                     counters=_metrics.REGISTRY.counters_flat())
     return write_manifest(build_manifest(
         kind, apps=apps, schemes=schemes, configs=configs,
         walk_blocks=walk_blocks, seeds=seeds, wall_s=wall_s,

@@ -24,9 +24,9 @@ Three metric types, all labeled:
   durations, :data:`WIDTH_BUCKETS` for batch shapes) so snapshots from
   different processes always line up.
 
-The registry rides the same cross-process channels as spans: its state
-is folded into :func:`repro.telemetry.spans.snapshot` (under the
-``"metrics"`` key), merged back by ``merge_snapshot``, and cleared by
+The registry rides the same cross-process channel as the phase table:
+its state is folded into :func:`repro.telemetry.spans.snapshot` (under
+the ``"metrics"`` key), merged back by ``merge_snapshot``, and cleared by
 ``reset`` — which means the parallel runner's exactly-once-across-
 retries discipline (only the successful attempt's snapshot merges;
 failed attempts ship none) applies to metrics for free, and a fleet
@@ -195,8 +195,8 @@ class MetricsRegistry:
 
     def counters_flat(self, prefix: str = "") -> Dict[str, float]:
         """``{"name{a=b}": value}`` for every counter sample under
-        ``prefix`` — the ``REPRO_SPANS`` dump trailer writes this map
-        and the bit-equality tests compare it."""
+        ``prefix`` — the ``run.recorded`` event carries this map and
+        the bit-equality tests compare it."""
         out: Dict[str, float] = {}
         for name, family in sorted(self._families.items()):
             if family.type != "counter" or not name.startswith(prefix):
@@ -210,7 +210,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """Picklable/JSON-safe copy of every family (rides the worker
-        result channel next to the span snapshot)."""
+        result channel next to the phase table)."""
         snap: Dict[str, Any] = {}
         for name, family in self._families.items():
             record: Dict[str, Any] = {

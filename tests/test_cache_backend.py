@@ -1,5 +1,5 @@
 """The pluggable cache-backend seam: spec parsing, the byte-identical
-local tier, and the ``remote:``/``tiered:`` read-through tiers.
+local tier, and the ``remote:`` read-through tier.
 
 The remote tests run a minimal threaded wire-framed stub server (the
 same ``cache.get``/``cache.blob`` vocabulary ``repro.serve`` speaks) so
@@ -23,7 +23,6 @@ from repro.cache import (
     LocalBackend,
     RemoteBackend,
     RemoteTier,
-    TieredBackend,
     backend_from_spec,
     parse_backend_spec,
     reset_cache,
@@ -62,13 +61,13 @@ class TestSpecParsing:
         parsed = parse_backend_spec("local:/other/root")
         assert parsed == {"mode": "local", "root": "/other/root"}
 
-    def test_remote_and_tiered(self):
+    def test_remote_with_options(self):
         parsed = parse_backend_spec("remote:cachehost:7017")
         assert parsed["mode"] == "remote"
         assert (parsed["host"], parsed["port"]) == ("cachehost", 7017)
         parsed = parse_backend_spec(
-            "tiered:10.0.0.5:7017?root=/r&token=s&timeout_s=2.5")
-        assert parsed["mode"] == "tiered"
+            "remote:10.0.0.5:7017?root=/r&token=s&timeout_s=2.5")
+        assert parsed["mode"] == "remote"
         assert parsed["root"] == "/r" and parsed["token"] == "s"
         assert parsed["timeout_s"] == 2.5
 
@@ -90,11 +89,8 @@ class TestSpecParsing:
         local = backend_from_spec("", root=str(tmp_path))
         assert isinstance(local, LocalBackend)
         remote = backend_from_spec("remote:h:7017", root=str(tmp_path))
-        assert isinstance(remote, RemoteBackend) \
-            and not isinstance(remote, TieredBackend)
-        tiered = backend_from_spec("tiered:h:7017", root=str(tmp_path))
-        assert isinstance(tiered, TieredBackend)
-        assert tiered.describe() == "tiered:h:7017"
+        assert isinstance(remote, RemoteBackend)
+        assert remote.describe() == "remote:h:7017"
 
     def test_token_falls_back_to_fleet_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_TOKEN", "fleet-secret")
@@ -205,10 +201,11 @@ class TestRemoteBackend:
         finally:
             backend.close()
 
-    def test_tiered_prefers_local_disk(self, tmp_path, stub):
+    def test_remote_prefers_local_disk(self, tmp_path, stub):
+        stub.blobs[("stats", KEY)] = '{"remote": true}'
         local = LocalBackend(str(tmp_path))
         local.put("stats", KEY, '{"local": true}')
-        backend = TieredBackend(local, RemoteTier(*stub.address))
+        backend = RemoteBackend(local, RemoteTier(*stub.address))
         try:
             assert backend.get("stats", KEY) == '{"local": true}'
             assert stub.requests == []  # never touched the network
@@ -296,12 +293,12 @@ class TestRemoteBackend:
         host, port = stub.address
         monkeypatch.setenv(
             "REPRO_CACHE_BACKEND",
-            f"tiered:{host}:{port}?root={tmp_path / 'envroot'}")
+            f"remote:{host}:{port}?root={tmp_path / 'envroot'}")
         reset_cache()
         from repro.cache import get_cache
 
         cache = get_cache()
-        assert cache.backend_spec() == f"tiered:{host}:{port}"
+        assert cache.backend_spec() == f"remote:{host}:{port}"
         assert cache._read("stats", KEY) == '{"env": true}'
         assert cache.hits == 1
 

@@ -9,6 +9,7 @@ discipline is asserted for the fleet — including a fleet whose workers
 are being killed by the fault injector mid-sweep.
 """
 
+import os
 import time
 
 import pytest
@@ -262,6 +263,10 @@ class TestMetricsExactlyOnce:
             == len(APPS)
         assert len(attempts) > len(APPS)  # doomed attempts stay logged
         assert self._counters() == inline
+        worker_spans = [r for r in events.iter_events(str(log))
+                        if r["kind"] == "span" and r["name"] == "simulate"
+                        and r["pid"] != os.getpid()]
+        assert worker_spans, "fleet workers wrote no simulate spans"
 
 
 class TestCellDeadline:

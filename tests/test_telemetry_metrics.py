@@ -294,6 +294,34 @@ class TestLiveProgress:
         assert progress.fallbacks == 1
         assert "cells 2 done" in progress.line()
 
+    def test_follow_keeps_a_line_read_half_written(self, tmp_path):
+        """``follow`` can read a line the writer has not finished; the
+        event must count once the rest of the line lands."""
+        import threading
+
+        from repro.telemetry.live import follow
+
+        line = json.dumps({"ts": 1.0, "pid": 1, "seq": 1,
+                           "kind": "sweep.cell.done",
+                           "instructions": 10}) + "\n"
+        log = tmp_path / "events.jsonl"
+        log.write_text(line + line[:20])
+
+        def finish_line():
+            with open(log, "a") as handle:
+                handle.write(line[20:])
+
+        writer = threading.Timer(0.3, finish_line)
+        writer.start()
+        try:
+            progress = follow(str(log), io.StringIO(), interval_s=0.05,
+                              max_wall_s=1.0)
+        finally:
+            writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        assert progress.done == 2
+        assert progress.instructions == 20
+
     def test_live_cli_one_shot(self, tmp_path, capsys):
         from repro.telemetry.live import main
 

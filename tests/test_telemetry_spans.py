@@ -1,14 +1,14 @@
-"""Tests for the hierarchical span core of repro.telemetry (and how it
-carries the metrics registry across processes)."""
+"""Tests for the span core of repro.telemetry: the phase table, the
+``span`` events it writes to the event log, and how its snapshot
+carries the metrics registry across processes."""
 
-import io
-import json
+import os
 import time
 
 import pytest
 
 from repro import telemetry
-from repro.telemetry import Span
+from repro.telemetry import events
 
 
 @pytest.fixture(autouse=True)
@@ -61,36 +61,45 @@ class TestSpanTree:
         assert telemetry.phase_stats()["decorated.run"]["calls"] == 1
 
 
-class TestRetention:
-    def test_trees_retained_only_when_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPANS", raising=False)
-        with telemetry.span("root"):
-            pass
-        assert telemetry.spans() == []
+class TestSpanEvents:
+    def test_nested_spans_emit_one_event_each(self, tmp_path):
+        log = tmp_path / "events.jsonl"
+        events.set_path(str(log))
+        try:
+            with telemetry.span("root", app="Music"):
+                time.sleep(0.01)
+                with telemetry.span("child"):
+                    time.sleep(0.01)
+                with telemetry.span("child"):
+                    pass
+        finally:
+            events.set_path(None)
+        records = [r for r in events.iter_events(str(log))
+                   if r["kind"] == "span"]
+        assert [r["name"] for r in records] == ["child", "child", "root"]
+        first, second, root = records
+        assert root["attrs"] == {"app": "Music"}
+        assert root["pid"] == os.getpid()
+        assert root["start_unix"] <= first["start_unix"] \
+            <= second["start_unix"] <= root["ts"]
+        # self time is the duration minus the children's, exactly as
+        # the phase table records it
+        assert root["self_s"] == \
+            root["dur_s"] - (0.0 + first["dur_s"] + second["dur_s"])
+        assert first["self_s"] == first["dur_s"]
+        assert telemetry.phase_stats()["root"]["self_s"] == root["self_s"]
 
-        monkeypatch.setenv("REPRO_SPANS", "1")
+    def test_nothing_written_without_sink(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(events.ENV_EVENTS, raising=False)
+        monkeypatch.chdir(tmp_path)
+        events.set_path(None)
         with telemetry.span("root"):
             with telemetry.span("child"):
                 pass
-        roots = telemetry.spans()
-        assert [r.name for r in roots] == ["root"]
-        assert [c.name for c in roots[0].children] == ["child"]
-
-    def test_dump_spans_jsonl(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
-        with telemetry.span("root", app="Music"):
-            with telemetry.span("child"):
-                pass
-        buf = io.StringIO()
-        assert telemetry.dump_spans(buf) == 1
-        record = json.loads(buf.getvalue())
-        assert record["name"] == "root"
-        assert record["attrs"] == {"app": "Music"}
-        assert record["children"][0]["name"] == "child"
-        rebuilt = Span.from_dict(record)
-        assert rebuilt.name == "root"
-        assert rebuilt.children[0].name == "child"
-        assert rebuilt.self_time <= rebuilt.cumulative
+        assert list(tmp_path.iterdir()) == []
+        assert events._fd is None
+        # the phase table is all a process keeps
+        assert set(telemetry.snapshot()) == {"phases", "metrics"}
 
 
 class TestSnapshotMerge:
@@ -108,17 +117,6 @@ class TestSnapshotMerge:
         assert telemetry.metrics.REGISTRY.value(
             "repro_cache_requests_total", kind="stats", result="hit") == 7
         assert telemetry.phase_stats()["simulate"]["calls"] == 2
-
-    def test_merge_tags_worker_spans_with_pid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPANS", "1")
-        with telemetry.span("worker-root"):
-            pass
-        snap = telemetry.snapshot()
-        snap["pid"] = 4242
-        telemetry.reset()
-        telemetry.merge_snapshot(snap)
-        (root,) = telemetry.spans()
-        assert root.attrs["pid"] == 4242
 
     def test_merge_none_and_empty_are_noops(self):
         telemetry.merge_snapshot(None)
