@@ -1,9 +1,11 @@
 """The fleet: a TCP broker leasing cells to worker processes.
 
-Topology: the parent process runs a :class:`Broker` (a TCP listener plus
-one handler thread per connection) and a :class:`PersistentFleet` keeps
-``jobs`` workers alive as ``python -m repro.dispatch.worker --connect
-host:port``.  Workers *pull*: each sends ``ready``, receives a task
+Topology: the parent process runs a :class:`Broker` (a loopback TCP
+listener plus one handler thread per connection) and a
+:class:`PersistentFleet` keeps ``jobs`` workers alive as ``python -m
+repro.dispatch.worker --connect 127.0.0.1:port``.  The broker accepts
+only the workers its owner spawned: a ``hello`` under any other name is
+answered ``denied``.  Workers *pull*: each sends ``ready``, receives a task
 lease (the pickled ``(fn, args, kwargs)`` payload plus its attempt
 number), heartbeats while executing, and reports a result envelope.
 The broker trusts nothing:
@@ -30,17 +32,14 @@ One fleet class serves both lifetimes.  ``repro.serve`` keeps a
 executor (:class:`FleetExecutor`) starts one, drains it once, and shuts
 it down.  The fleet obeys one rule set either way:
 
-* **respawn** — the fleet keeps ``jobs`` *local* worker processes alive.
-  Externally-joined TCP workers add capacity on top and never displace
-  or replace a local worker, so the local complement depends on local
-  process state alone;
+* **respawn** — the fleet keeps ``jobs`` worker processes alive;
 * **respawn budget** — at most ``jobs + max_attempts x tasks submitted
   so far`` worker launches.  A worker that dies costs its task an
   attempt, so this is the total attempt budget: a crash-looping fleet
   converges to quarantine instead of forking forever;
-* **no workers left** — when a fleet that wants local workers has none
-  alive and none connected (spawning failed or the budget is spent),
-  every unfinished task is handed to inline quarantine;
+* **no workers left** — when the fleet has no worker alive (spawning
+  failed or the budget is spent), every unfinished task is handed to
+  inline quarantine;
 * **bounded drain** — :meth:`FleetExecutor.drain` also has a hard
   deadline (the summed attempt budget) past which whatever is left is
   quarantined, so no failure of the broker machinery can hang a sweep.
@@ -79,27 +78,6 @@ from repro.dispatch.base import (
 #: How often the drain loop sweeps leases/processes, seconds.
 _TICK_S = 0.05
 
-#: Broker bind interface, ``HOST[:PORT]`` (default loopback, ephemeral
-#: port).  Bind a real interface to accept multi-host TCP workers.
-ENV_BIND = "REPRO_FLEET_BIND"
-
-#: Shared-secret auth token for the worker hello handshake.  Empty (the
-#: default) means no auth — fine on loopback, not on a real interface.
-ENV_TOKEN = "REPRO_FLEET_TOKEN"
-
-
-def parse_bind(value: Optional[str]) -> Tuple[str, int]:
-    """Parse a ``HOST[:PORT]`` bind spec (default loopback:ephemeral)."""
-    value = (value or "").strip()
-    if not value:
-        return "127.0.0.1", 0
-    host, _, port = value.rpartition(":")
-    if not host:
-        return value, 0
-    if not port.isdigit():
-        raise ValueError(f"expected HOST[:PORT] bind spec, got {value!r}")
-    return host, int(port)
-
 
 @dataclass
 class _Lease:
@@ -120,16 +98,11 @@ class _WorkerProc:
 class Broker:
     """Task queue + lease table behind a TCP listener.
 
-    The listener binds loopback/ephemeral by default and a configurable
-    interface (``host``/``port`` or ``REPRO_FLEET_BIND``) for real
-    multi-host fleets.  Workers the owner spawns itself are announced
-    via :meth:`expect_worker`; a ``hello`` from any *other* name is an
-    **externally-joined** TCP worker (``python -m repro.dispatch.worker
-    --connect host:port`` from another machine), tracked separately so
-    elastic respawn can count it against capacity without ever holding
-    a process handle for it.  When a ``token`` is set (or
-    ``REPRO_FLEET_TOKEN``), every hello must carry it or the connection
-    is answered with ``denied`` and dropped.
+    The listener binds ``127.0.0.1`` on an ephemeral port: payloads are
+    pickles, so the broker must never face a peer it does not trust.
+    Workers the owner spawns are announced via :meth:`expect_worker`; a
+    ``hello`` under any other name is answered ``denied`` and dropped,
+    and a malformed hello is dropped like any other bad frame.
 
     An empty queue means *idle*, not *done*: tasks may be added at any
     time, completed tasks are handed out (and their tables reclaimed)
@@ -137,17 +110,9 @@ class Broker:
     finishes in-flight leases before workers are released.
     """
 
-    def __init__(self, policy: RetryPolicy,
-                 host: Optional[str] = None,
-                 port: Optional[int] = None,
-                 token: Optional[str] = None) -> None:
+    def __init__(self, policy: RetryPolicy) -> None:
         self.policy = policy
-        if host is None and port is None:
-            host, port = parse_bind(os.environ.get(ENV_BIND))
-        self.token = token if token is not None \
-            else os.environ.get(ENV_TOKEN, "")
-        self._listener = socket.create_server(
-            (host or "127.0.0.1", port or 0))
+        self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.2)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._lock = threading.RLock()
@@ -161,10 +126,8 @@ class Broker:
         self._leases: Dict[str, _Lease] = {}          # task_id -> lease
         self._worker_lease: Dict[str, str] = {}       # worker -> task_id
         self._worker_pids: Dict[str, int] = {}
-        #: worker names the owner will spawn itself (pids killable)
+        #: worker names the owner spawns; only these may say hello
         self._expected: Set[str] = set()
-        #: externally-joined TCP workers currently connected
-        self._external: Set[str] = set()
         self._conns: List[socket.socket] = []
         #: finished, not yet taken: task id -> exhausted its budget,
         #: in completion order
@@ -186,15 +149,10 @@ class Broker:
             heapq.heappush(self._queue, (0.0, self._seq, task.id, 1))
 
     def expect_worker(self, name: str) -> None:
-        """Announce a worker the owner spawns itself; any other hello
-        name counts as an external TCP join."""
+        """Announce a worker the owner spawns; a hello under any other
+        name is denied."""
         with self._lock:
             self._expected.add(name)
-
-    def external_workers(self) -> int:
-        """Externally-joined workers currently connected."""
-        with self._lock:
-            return len(self._external)
 
     def start(self) -> None:
         thread = threading.Thread(target=self._accept_loop,
@@ -312,11 +270,8 @@ class Broker:
                     )
                 else:
                     continue
-                # External workers live on other hosts: their reported
-                # pid means nothing here, so never SIGKILL it locally —
-                # expiring the lease is the whole remedy.
                 pid = self._worker_pids.get(lease.worker)
-                if pid and lease.worker not in self._external:
+                if pid:
                     pids.append(pid)
                 self._release_lease(task_id, outcome, error)
         return pids
@@ -360,31 +315,26 @@ class Broker:
         worker = "?"
         try:
             hello = wire.recv_msg(conn)
-            if hello.get("type") != "hello":
+            if not isinstance(hello, dict) or hello.get("type") != "hello" \
+                    or not isinstance(hello.get("worker"), str):
                 return
-            if (hello.get("token") or "") != self.token:
+            name = hello["worker"]
+            with self._lock:
+                known = name in self._expected
+                if known:
+                    worker = name
+                    self._worker_pids[worker] = hello.get("pid", 0)
+            if not known:
                 telemetry.inc("repro_fleet_denied_total",
-                              help="Worker hellos rejected by the auth "
-                                   "token handshake.")
-                telemetry.emit("fleet.denied",
-                               worker=str(hello.get("worker", "?")))
+                              help="Worker hellos rejected because the "
+                                   "fleet never spawned that worker.")
+                telemetry.emit("fleet.denied", worker=name)
                 wire.send_msg(conn, {
                     "type": "denied",
-                    "error": "fleet auth token mismatch",
+                    "error": f"unknown worker {name!r}: the broker "
+                             f"accepts only workers its fleet spawned",
                 })
                 return
-            worker = hello["worker"]
-            with self._lock:
-                self._worker_pids[worker] = hello.get("pid", 0)
-                external = worker not in self._expected
-                if external:
-                    self._external.add(worker)
-            if external:
-                telemetry.inc("repro_fleet_joins_total",
-                              help="Externally-joined TCP workers "
-                                   "accepted by the broker.")
-                telemetry.emit("fleet.join", worker=worker,
-                               worker_pid=hello.get("pid", 0))
             while True:
                 message = wire.recv_msg(conn)
                 kind = message.get("type")
@@ -400,7 +350,6 @@ class Broker:
             pass
         finally:
             with self._lock:
-                self._external.discard(worker)
                 task_id = self._worker_lease.get(worker)
                 if task_id is not None:
                     self._release_lease(
@@ -520,20 +469,18 @@ class Broker:
                 pass
 
 
-def _spawn_worker(address: Tuple[str, int], name: str,
-                  token: str = "") -> Optional[subprocess.Popen]:
+def _spawn_worker(address: Tuple[str, int],
+                  name: str) -> Optional[subprocess.Popen]:
     """Launch one ``repro.dispatch.worker`` against ``address``.
 
     Workers must resolve the same modules the parent can (the task
     payloads pickle functions *by reference*), regardless of the
     worker's cwd — so the parent's import path ships in the
-    environment, and so does the broker's auth token.
+    environment.
     """
     host, port = address
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    if token:
-        env[ENV_TOKEN] = token
     try:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.dispatch.worker",
@@ -583,25 +530,20 @@ class PersistentFleet:
     Thread-safe: submit/poll may be called from any thread (the serve
     front calls them from the asyncio event loop).
 
-    Multi-host: pass ``bind="HOST[:PORT]"`` (or set
-    ``REPRO_FLEET_BIND``) to put the broker on a real interface and let
-    ``python -m repro.dispatch.worker --connect host:port`` join from
-    other machines; ``jobs=0`` runs an **external-only** fleet — no
-    local complement at all, capacity comes entirely from TCP joins.
+    ``jobs`` must be at least 1: a fleet with no workers could never
+    finish a task.
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 policy: Optional[RetryPolicy] = None,
-                 bind: Optional[str] = None,
-                 token: Optional[str] = None) -> None:
-        self.jobs = max(0, jobs) if jobs is not None \
+                 policy: Optional[RetryPolicy] = None) -> None:
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"a fleet needs at least 1 worker, got "
+                             f"jobs={jobs}")
+        self.jobs = jobs if jobs is not None \
             else max(1, os.cpu_count() or 1)
         self.policy = policy if policy is not None \
             else RetryPolicy.from_env()
-        host, port = parse_bind(bind) if bind is not None \
-            else (None, None)
-        self.broker = Broker(self.policy, host=host, port=port,
-                             token=token)
+        self.broker = Broker(self.policy)
         self.broker.start()
         self._procs: List[_WorkerProc] = []
         self._lock = threading.Lock()
@@ -649,10 +591,6 @@ class PersistentFleet:
         with self._lock:
             return len(self._procs)
 
-    def workers_external(self) -> int:
-        """Externally-joined TCP workers currently connected."""
-        return self.broker.external_workers()
-
     # -- monitor -------------------------------------------------------------
 
     def _spawn_budget(self) -> int:
@@ -666,8 +604,7 @@ class PersistentFleet:
         name = f"fleet-{self._launches}"
         self._launches += 1
         self.broker.expect_worker(name)
-        proc = _spawn_worker(self.broker.address, name,
-                             self.broker.token)
+        proc = _spawn_worker(self.broker.address, name)
         if proc is None:
             return False
         with self._lock:
@@ -675,7 +612,7 @@ class PersistentFleet:
         return True
 
     def _reap(self) -> int:
-        """Mark exited workers dead; returns the live local count."""
+        """Mark exited workers dead; returns the live count."""
         with self._lock:
             procs = list(self._procs)
         live = 0
@@ -703,9 +640,7 @@ class PersistentFleet:
                 if not self._spawn():
                     break
                 live += 1
-            external = self.broker.external_workers()
-            if self.jobs and live + external == 0 \
-                    and not self.broker.finished():
+            if live == 0 and not self.broker.finished():
                 self.broker.fail_unfinished(
                     "no fleet workers left (spawn failed or budget "
                     "exhausted); remaining tasks quarantined to the "
@@ -714,10 +649,6 @@ class PersistentFleet:
             telemetry.set_gauge("repro_dispatch_workers", live,
                                 help="Live fleet workers (gauge; merges "
                                      "as max across processes).")
-            telemetry.set_gauge("repro_dispatch_external_workers",
-                                external,
-                                help="Externally-joined TCP workers "
-                                     "currently connected (gauge).")
             if self._stop.wait(_TICK_S):
                 return
 
@@ -826,5 +757,4 @@ class FleetExecutor:
         self._tasks = []
 
 
-__all__ = ["Broker", "ENV_BIND", "ENV_TOKEN", "FleetExecutor",
-           "PersistentFleet", "parse_bind"]
+__all__ = ["Broker", "FleetExecutor", "PersistentFleet"]

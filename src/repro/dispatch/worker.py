@@ -22,12 +22,10 @@ attempt, and at most one fault fires:
 Workers never *retry* anything themselves — retry policy belongs to the
 broker, which sees every attempt from every worker.
 
-Multi-host: ``--connect`` takes any reachable broker address, not just
-loopback; ``--token`` (or ``REPRO_FLEET_TOKEN``) rides along in the
-``hello`` and a mismatch is answered with ``denied`` — the worker
-prints the reason and exits 1.  ``--discover HOST:PORT`` asks a
-``repro.serve`` wire front for its broker address first (the ``join``
-message), so one published endpoint is enough to wire up a whole fleet.
+The fleet spawns each worker with ``--connect`` (its loopback broker)
+and ``--worker`` (the name it announced to the broker).  A broker that
+never announced the name answers the ``hello`` with ``denied``; the
+worker prints the reason and exits 1.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from typing import Optional, Tuple
 
 from repro.dispatch import wire
 from repro.dispatch.faults import ENV_FAULTS, FaultPlan, corrupt_bytes
-from repro.dispatch.fleet import ENV_TOKEN
 
 #: Seconds into an attempt at which the ``kill`` fault fires.
 KILL_DELAY_S = 0.02
@@ -89,35 +86,8 @@ def _execute(payload: bytes) -> Tuple[bool, bytes, Optional[str]]:
     return True, wire.dumps(value), None
 
 
-def discover_broker(address: Tuple[str, int], worker: str,
-                    token: str = "") -> Tuple[str, int]:
-    """Ask a ``repro.serve`` wire front where its fleet broker lives.
-
-    Sends the ``join`` registration message and returns the broker's
-    ``(host, port)``; raises :class:`OSError` if the front is
-    unreachable or answers anything but a ``fleet`` record.
-    """
-    with socket.create_connection(address, timeout=10.0) as sock:
-        wire.send_msg(sock, {"type": "join", "worker": worker,
-                             "pid": os.getpid(), "token": token})
-        try:
-            reply = wire.recv_msg(sock)
-        except wire.WireError as exc:
-            raise OSError(f"bad discovery reply: {exc}") from exc
-    if not isinstance(reply, dict) or reply.get("type") != "fleet":
-        error = reply.get("error") if isinstance(reply, dict) else None
-        raise OSError(error or f"unexpected discovery reply "
-                               f"{reply!r}")
-    host = reply.get("host") or address[0]
-    # A broker parked on a wildcard interface is reachable wherever the
-    # serve front itself was.
-    if host in ("0.0.0.0", "::"):
-        host = address[0]
-    return host, int(reply["port"])
-
-
 def serve(address: Tuple[str, int], worker: str,
-          plan: Optional[FaultPlan] = None, token: str = "") -> int:
+          plan: Optional[FaultPlan] = None) -> int:
     """The worker loop; returns an exit code."""
     if plan is None:
         plan = FaultPlan.parse(os.environ.get(ENV_FAULTS))
@@ -130,7 +100,7 @@ def serve(address: Tuple[str, int], worker: str,
     sock.settimeout(RECV_TIMEOUT_S)
     send_lock = threading.Lock()
     wire.send_msg(sock, {"type": "hello", "worker": worker,
-                         "pid": os.getpid(), "token": token},
+                         "pid": os.getpid()},
                   lock=send_lock)
     try:
         while True:
@@ -145,7 +115,7 @@ def serve(address: Tuple[str, int], worker: str,
                 return 0
             if kind == "denied":
                 print(f"worker {worker}: broker denied the hello: "
-                      f"{message.get('error', 'token mismatch')}",
+                      f"{message.get('error', 'unknown worker')}",
                       file=sys.stderr)
                 return 1
             if kind == "idle":
@@ -201,32 +171,13 @@ def main(argv=None) -> int:
         description="Fleet worker: pull task leases from a dispatch "
                     "broker and execute them.",
     )
-    parser.add_argument("--connect", type=_parse_address, default=None,
+    parser.add_argument("--connect", type=_parse_address, required=True,
                         metavar="HOST:PORT",
                         help="broker address to pull leases from")
-    parser.add_argument("--discover", type=_parse_address, default=None,
-                        metavar="HOST:PORT",
-                        help="repro.serve wire front to ask for the "
-                             "broker address (instead of --connect)")
-    parser.add_argument("--worker", default=f"fleet-pid{os.getpid()}",
-                        help="worker name reported to the broker")
-    parser.add_argument("--token", default=os.environ.get(ENV_TOKEN, ""),
-                        help="fleet auth token for the hello handshake "
-                             f"(default: ${ENV_TOKEN})")
+    parser.add_argument("--worker", required=True,
+                        help="worker name the broker's fleet announced")
     args = parser.parse_args(argv)
-    if (args.connect is None) == (args.discover is None):
-        parser.error("exactly one of --connect/--discover is required")
-    address = args.connect
-    if address is None:
-        try:
-            address = discover_broker(args.discover, args.worker,
-                                      args.token)
-        except OSError as exc:
-            print(f"worker {args.worker}: discovery against "
-                  f"{args.discover[0]}:{args.discover[1]} failed: "
-                  f"{exc}", file=sys.stderr)
-            return 1
-    return serve(address, args.worker, token=args.token)
+    return serve(args.connect, args.worker)
 
 
 if __name__ == "__main__":

@@ -349,13 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "netbound, vecmobile, or trace-replay "
                              "(changes the numbers; folded into cache "
                              "keys and config_hash when not default)")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="artifact-cache backend spec: local, "
-                             "local:PATH, or remote:HOST:PORT (local "
-                             "disk first, then the network; default "
-                             "REPRO_CACHE_BACKEND or local); exported "
-                             "to the environment so fleet workers "
-                             "inherit it")
     parser.add_argument("--progress", action="store_true",
                         help="render a live progress line (cells done/"
                              "cached/retried/fallback, instr/s) from "
@@ -375,17 +368,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --apps is required (or use --list)",
               file=sys.stderr)
         return 2
-    if args.cache_backend is not None:
-        from repro.cache import (ENV_BACKEND, parse_backend_spec,
-                                 reset_cache)
-
-        try:
-            parse_backend_spec(args.cache_backend)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        os.environ[ENV_BACKEND] = args.cache_backend
-        reset_cache()
     spec = SweepSpec(
         apps=args.apps,
         schemes=args.schemes,

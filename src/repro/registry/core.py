@@ -10,7 +10,9 @@ the same contract :func:`repro.workloads.get_profile` established.
 Registries are *lazily populated*: each one knows which provider modules
 contain its built-in registrations and imports them on first lookup, so
 ``repro.registry`` itself never imports the domain packages (no cycles)
-and importing ``repro.registry`` stays free.
+and importing ``repro.registry`` stays free.  Population is
+thread-safe: a thread that looks a registry up while another thread is
+importing its providers waits for the import to finish.
 
 Every entry carries an integer ``version``.  ``identity(name)`` returns
 ``"<name>@<version>"``, which the artifact cache folds into its content
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import difflib
 import importlib
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
@@ -69,15 +72,26 @@ class Registry:
         self._providers = providers
         self._entries: Dict[str, RegistryEntry] = {}
         self._loaded = not providers
+        self._loading = False
+        self._load_lock = threading.RLock()
 
     # -- population ----------------------------------------------------------
 
     def _ensure_providers(self) -> None:
         if self._loaded:
             return
-        self._loaded = True  # set first: providers may look themselves up
-        for module in self._providers:
-            importlib.import_module(module)
+        with self._load_lock:
+            # ``_loading`` under the lock means *this* thread is mid-import
+            # and a provider looked its own registry up; other threads
+            # block on the lock until every provider has registered.
+            if self._loaded or self._loading:
+                return
+            self._loading = True
+            try:
+                for module in self._providers:
+                    importlib.import_module(module)
+            finally:
+                self._loaded = True
 
     def register(self, name: str, obj: Any = None, *, version: int = 1,
                  overwrite: bool = False) -> Any:

@@ -28,12 +28,9 @@ server runs the exact same ``ctx.stats`` path through the same executors
 (:mod:`repro.loadgen`) an honest benchmark: it measures service
 overhead, not a different computation.
 
-Multi-host: ``--fleet-bind`` puts the fleet broker on a real interface
-so ``python -m repro.dispatch.worker --connect`` (or ``--discover``
-against the wire front) joins workers from other machines, and the wire
-front's ``cache.get`` endpoint serves artifacts to ``remote:`` cache
-backends (:mod:`repro.cache`) — a sweep computed on this host is
-answered 100% warm on any other.
+Everything runs on one host: the fleet broker listens on loopback and
+accepts only the workers the server spawned.  The wire front unpickles
+every frame, so ``--host`` must name an interface whose peers you trust.
 """
 
 from repro.serve.server import JobBusyError, JobError, ServeServer

@@ -20,6 +20,14 @@ import sys
 from repro.serve.server import EXECUTOR_CHOICES, ServeServer
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -27,27 +35,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "cache, streaming sweep jobs over wire + HTTP.",
     )
     parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: loopback only)")
+                        help="bind address (default: loopback only); "
+                             "the wire front unpickles every frame, so "
+                             "bind only an interface you trust")
     parser.add_argument("--wire-port", type=int, default=7017,
                         help="wire-front port, 0 for ephemeral "
                              "(default: 7017)")
     parser.add_argument("--http-port", type=int, default=7018,
                         help="HTTP-front port, 0 for ephemeral "
                              "(default: 7018)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fleet worker processes; 0 = external "
-                             "TCP workers only (default: cpu-count "
-                             "capped heuristic)")
-    parser.add_argument("--fleet-bind", default=None,
-                        metavar="HOST[:PORT]",
-                        help="bind the fleet broker here so "
-                             "'repro.dispatch.worker --connect' can "
-                             "join from other hosts (default: "
-                             "$REPRO_FLEET_BIND or loopback)")
-    parser.add_argument("--token", default=None,
-                        help="auth token for worker joins and the "
-                             "cache.get endpoint (default: "
-                             "$REPRO_FLEET_TOKEN)")
+    parser.add_argument("--workers", type=_positive_int, default=None,
+                        help="fleet worker processes, at least 1 "
+                             "(default: os.cpu_count())")
     parser.add_argument("--max-pending", type=int, default=None,
                         help="admission backpressure: refuse jobs "
                              "with a structured busy reply past this "
@@ -70,7 +69,6 @@ async def _amain(args: argparse.Namespace) -> int:
     server = ServeServer(
         workers=args.workers, executor=args.executor, host=args.host,
         wire_port=args.wire_port, http_port=args.http_port,
-        fleet_bind=args.fleet_bind, token=args.token,
         max_pending=args.max_pending,
     )
     await server.start()
@@ -93,10 +91,6 @@ async def _amain(args: argparse.Namespace) -> int:
         record = {"pid": os.getpid(), "host": args.host,
                   "wire_port": server.wire_port,
                   "http_port": server.http_port}
-        if server.fleet is not None:
-            fhost, fport = server.fleet.broker.address
-            record["fleet_host"] = fhost
-            record["fleet_port"] = fport
         with open(args.ready_file, "w") as handle:
             json.dump(record, handle)
             handle.write("\n")

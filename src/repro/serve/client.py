@@ -76,29 +76,6 @@ class ServeClient:
             if kind == "done":
                 return
 
-    def cache_get(self, kind: str, key: str,
-                  token: str = "") -> Dict[str, Any]:
-        """Fetch one artifact blob from the server's local cache tier
-        (the ``cache.blob`` record; ``hit``/``text`` carry the answer).
-        Raises :class:`ServeError` on ``denied``."""
-        self._send({"type": "cache.get", "kind": kind, "key": key,
-                    "token": token})
-        record = self._recv()
-        if isinstance(record, dict) and record.get("type") == "denied":
-            raise ServeError(record.get("error", "denied"))
-        return record
-
-    def fleet_info(self, worker: str = "repro.serve.client",
-                   token: str = "") -> Dict[str, Any]:
-        """Ask where the fleet broker lives (the ``fleet`` record).
-        Raises :class:`ServeError` on ``denied`` or an inline server."""
-        self._send({"type": "join", "worker": worker, "token": token})
-        record = self._recv()
-        if isinstance(record, dict) \
-                and record.get("type") in ("denied", "error"):
-            raise ServeError(record.get("error", "denied"))
-        return record
-
     def shutdown_server(self) -> None:
         """Ask the server to drain gracefully (fire-and-forget)."""
         self._send({"type": "shutdown"})

@@ -16,13 +16,6 @@ Client → server:
   per app x scheme x config as each completes, then ``done``.
 * ``{"type": "shutdown"}`` — ask the server to drain gracefully
   (answered with ``bye`` before the drain starts).
-* ``{"type": "cache.get", "kind": ..., "key": ..., "token": ...}`` —
-  fetch one artifact blob from this host's local cache tier (the
-  ``remote:`` cache backend's read path); answered with
-  ``cache.blob``.
-* ``{"type": "join", "worker": <name>, "token": ...}`` — worker
-  registration: ask where the fleet broker lives; answered with
-  ``fleet`` (or ``error`` on an executor=inline server).
 
 Server → client:
 
@@ -41,20 +34,15 @@ Server → client:
   "max_pending": M}`` — admission backpressure: the pending-job table
   is full; retry later (the HTTP front answers 503 instead).
 * ``{"type": "error", "id": ..., "error": <text>}`` — the job was
-  rejected at admission (bad spec, unknown registry name, draining).
-* ``{"type": "cache.blob", "kind": ..., "key": ..., "hit": bool,
-  "text": <blob or None>}`` — one cache-endpoint answer.
-* ``{"type": "fleet", "host": ..., "port": ..., "token_required":
-  bool, "external": N}`` — where the fleet broker listens.
-* ``{"type": "denied", "error": <text>}`` — the request's auth token
-  did not match the server's.
+  rejected at admission (bad spec, unknown registry name, draining),
+  or the message ``type`` is unknown (the connection stays usable).
 
 Every record is JSON-safe by construction, so the HTTP front streams
 the *same* ``accepted``/``cell``/``done`` records as ndjson lines.
 
-Version history: v2 added ``busy`` backpressure, per-cell
-``coalesced`` marks, and the multi-host ``cache.get``/``join``
-endpoints.
+Version history: v2 added ``busy`` backpressure and per-cell
+``coalesced`` marks; v3 removed two message types, so they now get the
+``unknown message type`` error.
 """
 
 from __future__ import annotations
@@ -66,7 +54,7 @@ from typing import Any
 from repro.dispatch import wire
 
 #: Protocol revision, reported in ``welcome`` / ``/healthz``.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 class ProtocolError(ConnectionError):

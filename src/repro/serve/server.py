@@ -18,7 +18,7 @@ Cells run through the exact same
 uses, so a served grid is bit-identical to an inline sweep of the same
 spec — the acceptance gate the loadgen asserts.
 
-Hardening and multi-host duties layered on top:
+Hardening layered on top:
 
 * **admission backpressure** — ``max_pending`` bounds the in-flight
   job table; past it, admission answers a structured ``busy`` record
@@ -26,14 +26,11 @@ Hardening and multi-host duties layered on top:
 * **in-flight cell coalescing** — concurrent jobs that need the same
   uncached cell subscribe to the first computation (keyed by the
   cell's content address), so a cold concurrent burst computes each
-  grid cell exactly once;
-* **cache-read endpoint** (``cache.get``) — remote cache backends
-  on other hosts read artifacts through the wire front, each
-  answered from the local tier only (see
-  :meth:`repro.cache.ArtifactCache.peek_local`);
-* **worker registration** (``join``) — a TCP worker asks where the
-  fleet broker lives, then ``--connect``\\ s to it directly (both
-  guarded by the fleet auth token when one is set).
+  grid cell exactly once.
+
+The wire front unpickles every frame it reads, so bind ``host`` only to
+an interface whose peers you trust (the default is loopback).  The
+fleet broker always listens on loopback.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from repro import telemetry
 from repro.cache import get_cache
 from repro.cpu import CpuConfig
 from repro.dispatch import RetryPolicy, TaskResult, TaskSpec
-from repro.dispatch.fleet import ENV_TOKEN, PersistentFleet
+from repro.dispatch.fleet import PersistentFleet
 from repro.experiments.runner import (
     DEFAULT_WALK_BLOCKS,
     _cell_task,
@@ -115,14 +112,15 @@ class ServeServer:
                  wire_port: int = 0,
                  http_port: int = 0,
                  policy: Optional[RetryPolicy] = None,
-                 fleet_bind: Optional[str] = None,
-                 token: Optional[str] = None,
                  max_pending: Optional[int] = None) -> None:
         if executor not in EXECUTOR_CHOICES:
             raise ValueError(
                 f"unknown serve executor {executor!r} "
                 f"(choose from {', '.join(EXECUTOR_CHOICES)})"
             )
+        if workers is not None and workers < 1:
+            raise ValueError(f"serve needs at least 1 worker, got "
+                             f"workers={workers}")
         self.executor = executor
         self.workers = workers
         self.host = host
@@ -130,9 +128,6 @@ class ServeServer:
         self._http_port = http_port
         self.policy = policy if policy is not None \
             else RetryPolicy.from_env()
-        self.fleet_bind = fleet_bind
-        self.token = token if token is not None \
-            else os.environ.get(ENV_TOKEN, "")
         self.max_pending = max_pending
         self.fleet: Optional[PersistentFleet] = None
         self.started_unix = time.time()
@@ -157,11 +152,7 @@ class ServeServer:
         """Bind both fronts and warm the fleet."""
         if self.executor == "fleet":
             self.fleet = await asyncio.to_thread(
-                lambda: PersistentFleet(
-                    self.workers, self.policy,
-                    bind=self.fleet_bind, token=self.token,
-                ),
-            )
+                PersistentFleet, self.workers, self.policy)
             self._pump_task = asyncio.create_task(self._pump_fleet())
         self._wire_server = await asyncio.start_server(
             self._handle_wire, self.host, self._wire_port)
@@ -247,13 +238,11 @@ class ServeServer:
                 "configured": self.fleet.jobs,
                 "alive": self.fleet.workers_alive(),
                 "spawned": self.fleet.workers_spawned(),
-                "external": self.fleet.workers_external(),
             }
-            record["fleet"] = {"host": host, "port": port,
-                               "token_required": bool(self.token)}
+            record["fleet"] = {"host": host, "port": port}
         else:
             record["workers"] = {"configured": 1, "alive": 1,
-                                 "spawned": 0, "external": 0}
+                                 "spawned": 0}
         return record
 
     # -- the job engine ------------------------------------------------------
@@ -698,10 +687,6 @@ class ServeServer:
                     async for record in self.run_job(
                             message.get("spec"), client_id, "wire"):
                         await write_msg(writer, record)
-                elif kind == "cache.get":
-                    await self._handle_cache_get(writer, message)
-                elif kind == "join":
-                    await self._handle_join(writer, message)
                 elif kind == "shutdown":
                     await write_msg(writer, {"type": "bye"})
                     asyncio.create_task(self.stop())
@@ -719,65 +704,6 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    def _token_ok(self, message: Dict[str, Any]) -> bool:
-        return (message.get("token") or "") == (self.token or "")
-
-    async def _handle_cache_get(self, writer: asyncio.StreamWriter,
-                                message: Dict[str, Any]) -> None:
-        """Serve one artifact blob to a remote cache tier.
-
-        Answered from the *local* tier only (no hit/miss accounting,
-        no recursion through this host's own remote tier — see
-        :meth:`repro.cache.ArtifactCache.peek_local`).
-        """
-        if not self._token_ok(message):
-            telemetry.inc("repro_serve_denied_total",
-                          help="Wire requests refused by the auth "
-                               "token check.", request="cache.get")
-            await write_msg(writer, {"type": "denied",
-                                     "error": "auth token mismatch"})
-            return
-        kind = str(message.get("kind", ""))
-        key = str(message.get("key", ""))
-        cache = get_cache()
-        text = await asyncio.to_thread(cache.peek_local, kind, key)
-        hit = text is not None
-        telemetry.inc("repro_serve_cache_requests_total",
-                      help="Remote cache-tier reads served, by "
-                           "outcome.",
-                      kind=kind, result="hit" if hit else "miss")
-        telemetry.emit("serve.cache.get", artifact=kind, key=key[:12],
-                       hit=hit)
-        await write_msg(writer, {"type": "cache.blob", "kind": kind,
-                                 "key": key, "hit": hit, "text": text})
-
-    async def _handle_join(self, writer: asyncio.StreamWriter,
-                           message: Dict[str, Any]) -> None:
-        """Worker registration: tell a TCP worker where the fleet
-        broker lives so it can ``--connect`` there."""
-        if not self._token_ok(message):
-            telemetry.inc("repro_serve_denied_total",
-                          help="Wire requests refused by the auth "
-                               "token check.", request="join")
-            await write_msg(writer, {"type": "denied",
-                                     "error": "auth token mismatch"})
-            return
-        if self.fleet is None:
-            await write_msg(writer, {
-                "type": "error", "id": None,
-                "error": "this server runs executor=inline; "
-                         "there is no fleet broker to join",
-            })
-            return
-        host, port = self.fleet.broker.address
-        telemetry.emit("serve.worker.register",
-                       worker=str(message.get("worker", "?")))
-        await write_msg(writer, {
-            "type": "fleet", "host": host, "port": port,
-            "token_required": bool(self.token),
-            "external": self.fleet.workers_external(),
-        })
 
     # -- HTTP front ----------------------------------------------------------
 

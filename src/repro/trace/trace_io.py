@@ -28,9 +28,10 @@ identity).  Entry ``k`` has seq ``seq0 + k``, so only traces with
 consecutive seqs (any materialized trace or window of one) can be dumped.
 Blank lines and other ``#`` lines are skipped.
 
-Blobs reach the loader from remote cache tiers, so it parses plain text
-only and turns every malformation into :class:`TraceFormatError` (a
-``ValueError``), which the artifact cache treats as a miss.
+Blobs reach the loader from the on-disk cache, which a crash or another
+process may have left torn, so it parses plain text only and turns every
+malformation into :class:`TraceFormatError` (a ``ValueError``), which
+the artifact cache treats as a miss.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Tests for the content-addressed artifact cache and its runner wiring."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,80 @@ class TestArtifactStore:
         assert store.clear() == 1  # the stats artifact, not the orphan
         assert not orphan.exists()
         assert not artifact.exists()
+
+
+_WRITER = """
+import sys
+from repro.cache import ArtifactCache
+store = ArtifactCache(root=sys.argv[1], enabled=True)
+text = sys.argv[3] * 200000
+torn = 0
+for _ in range(25):
+    store.put("stats", sys.argv[2], text)
+    seen = store.get("stats", sys.argv[2])
+    if seen is None or len(seen) != len(text) or len(set(seen)) != 1:
+        torn += 1
+print(torn)
+"""
+
+
+class TestDiskStore:
+    def test_paths_byte_identical_to_schema_v3_layout(self, store,
+                                                      tmp_path):
+        key = "ab" + "0" * 62
+        assert store.path_for("stats", key) == \
+            tmp_path / f"v{cache_mod.SCHEMA_VERSION}" / "stats" / "ab" \
+            / f"{key}.json"
+        assert store.path_for("trace", key).suffix == ".trace"
+        assert store.backend_spec() == f"local:{tmp_path}"
+
+    def test_root_precedence(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cache_mod.ENV_DIR, str(tmp_path / "env"))
+        assert ArtifactCache(root=str(tmp_path / "arg")).root == \
+            tmp_path / "arg"
+        assert ArtifactCache().root == tmp_path / "env"
+        monkeypatch.delenv(cache_mod.ENV_DIR)
+        assert ArtifactCache().root == \
+            Path(os.path.expanduser("~/.cache/repro"))
+
+    def test_roundtrip_skips_tmp_files(self, store):
+        key = "aa" + "1" * 62
+        store.put("stats", key, "{}")
+        orphan = store.path_for("stats", key).parent / ".tmp-orphan.json"
+        orphan.write_text("torn")
+        assert store.get("stats", key) == "{}"
+        assert store.get("stats", "aa" + "2" * 62) is None
+        assert store.clear() == 1  # the artifact, never the orphan
+
+    def test_two_process_writes_are_atomic(self, store, tmp_path):
+        """Two processes hammering the same key: readers must only ever
+        observe one writer's complete text, never a torn mix."""
+        key = "cd" + "3" * 62
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(tmp_path), key,
+                 marker],
+                env=env, stdout=subprocess.PIPE, text=True)
+            for marker in ("A", "B")
+        ]
+        torn = []
+        for _ in range(2000):
+            text = store.get("stats", key)
+            if text is not None and (len(text) != 200000
+                                     or len(set(text)) != 1):
+                torn.append(len(text))
+        outs = [proc.communicate(timeout=120)[0].strip()
+                for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs)
+        assert torn == []
+        assert outs == ["0", "0"]  # writers never read torn text either
+        assert store.get("stats", key) in ("A" * 200000, "B" * 200000)
+        parent = store.path_for("stats", key).parent
+        assert [p for p in parent.iterdir()
+                if p.name.startswith(".tmp-")] == []
 
 
 class TestRunnerWiring:

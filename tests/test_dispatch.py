@@ -9,12 +9,14 @@ fault injector and still produce correct results.
 
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import time
 
 import pytest
 
+import repro.telemetry as telemetry
 from repro.dispatch import (
     Attempt,
     CellDeadlockError,
@@ -28,9 +30,10 @@ from repro.dispatch import (
     TaskSpec,
     cell_deadline,
 )
+from repro.dispatch import wire
 from repro.dispatch.faults import KINDS, corrupt_bytes
 from repro.dispatch import fleet as fleet_mod
-from repro.dispatch.fleet import FleetExecutor
+from repro.dispatch.fleet import FleetExecutor, PersistentFleet
 from repro.dispatch.inline import InlineExecutor
 from repro.registry import EXECUTORS
 
@@ -331,7 +334,7 @@ class TestFleetExecutor:
             result.raise_error()
 
 
-def _worker_exits_at_once(address, name, token=""):
+def _worker_exits_at_once(address, name):
     """Stand-in for the worker launcher: a process that dies before it
     ever reaches the broker."""
     return subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
@@ -344,7 +347,7 @@ class TestFleetDegraded:
 
     @pytest.mark.parametrize("spawn", [
         _worker_exits_at_once,
-        lambda address, name, token="": None,
+        lambda address, name: None,
     ], ids=["workers-exit-at-once", "spawn-fails"])
     def test_drain_quarantines_every_task(self, monkeypatch, spawn):
         monkeypatch.delenv("REPRO_DISPATCH_FAULTS", raising=False)
@@ -376,6 +379,70 @@ class TestFleetDegraded:
         assert set(handed) == {"t0", "t1", "t2"}
         assert all("no fleet workers left" in reason
                    for reason in handed.values()), handed
+
+
+def _poll_all(fleet, count):
+    out = []
+    deadline = time.monotonic() + 60
+    while len(out) < count:
+        assert time.monotonic() < deadline, "fleet stalled"
+        out.extend(fleet.poll())
+        time.sleep(0.02)
+    return out
+
+
+class TestBrokerAdmission:
+    """The broker listens on loopback and serves only the workers its
+    fleet spawned; anything else is turned away without disturbing it."""
+
+    def test_unknown_worker_name_is_denied(self):
+        telemetry.reset()
+        fleet = PersistentFleet(jobs=1, policy=FAST)
+        try:
+            host, port = fleet.broker.address
+            assert host == "127.0.0.1"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.dispatch.worker",
+                 "--connect", f"{host}:{port}", "--worker", "mallory"],
+                env=dict(os.environ,
+                         PYTHONPATH=os.pathsep.join(p for p in sys.path
+                                                    if p)),
+                capture_output=True, text=True, timeout=30)
+            assert proc.returncode == 1
+            assert "denied" in proc.stderr and "mallory" in proc.stderr
+            assert telemetry.metrics.REGISTRY.counters_flat(
+                "repro_fleet_denied_total") == \
+                {"repro_fleet_denied_total{}": 1}
+            # the fleet's own worker still serves
+            fleet.submit(TaskSpec(id="after", fn=_double, args=(5,)))
+            assert [r.value for r in _poll_all(fleet, 1)] == [10]
+        finally:
+            fleet.shutdown(grace_s=15.0)
+
+    @pytest.mark.parametrize("hello", [
+        ["hello", "fleet-0"],
+        {"type": "hello"},
+        {"type": "hello", "worker": 7},
+    ], ids=["not-a-dict", "no-worker", "non-string-worker"])
+    def test_malformed_hello_is_dropped_and_broker_keeps_serving(
+            self, hello):
+        fleet = PersistentFleet(jobs=1, policy=FAST)
+        try:
+            peer, conn = socket.socketpair()
+            with peer:
+                wire.send_msg(peer, hello)
+                peer.shutdown(socket.SHUT_WR)
+                fleet.broker._handle(conn)  # must return, not raise
+                assert peer.recv(1) == b""  # and hang up
+            fleet.submit(TaskSpec(id="after", fn=_double, args=(4,)))
+            assert [r.value for r in _poll_all(fleet, 1)] == [8]
+        finally:
+            fleet.shutdown(grace_s=15.0)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fleet_without_workers_is_rejected(self, jobs):
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            PersistentFleet(jobs=jobs, policy=FAST)
 
 
 class TestDispatchReport:

@@ -1,5 +1,9 @@
 """Unit tests for the component registry core and the built-in registries."""
 
+import sys
+import threading
+import types
+
 import pytest
 
 from repro.cpu import GOOGLE_TABLET
@@ -14,7 +18,42 @@ from repro.registry import (
 from repro.registry.core import Registry, RegistryError
 
 
+_SLOW_PROVIDER = '''
+import time
+from slow_registry_home import REG
+time.sleep(0.2)
+assert "early" not in REG  # a provider may look its own registry up
+REG.register("alpha", object())
+'''
+
+
 class TestRegistryCore:
+    def test_concurrent_first_lookups_wait_for_the_providers(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "slow_registry_provider.py").write_text(_SLOW_PROVIDER)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        home = types.ModuleType("slow_registry_home")
+        home.REG = Registry("widget",
+                            providers=("slow_registry_provider",))
+        monkeypatch.setitem(sys.modules, "slow_registry_home", home)
+        monkeypatch.delitem(sys.modules, "slow_registry_provider",
+                            raising=False)
+        errors = []
+
+        def lookup():
+            try:
+                home.REG.get("alpha")
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lookup) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert errors == []
+        assert home.REG.names() == ("alpha",)
+
     def test_register_decorator_and_lookup(self):
         reg = Registry("widget")
 

@@ -2,12 +2,16 @@
 sync client, and the load-generator harness.
 
 Server tests run the ``inline`` executor lane (no worker subprocesses)
-inside a background thread's event loop; one test exercises the
-persistent fleet end-to-end with real worker processes.  Everything
-routes through a throwaway cache so warm/cold behaviour is deterministic.
+inside a background thread's event loop; ``TestPersistentFleet`` and
+``TestFleetServedSweep`` exercise the persistent fleet end-to-end with
+real worker processes.  Everything routes through a throwaway cache so
+warm/cold behaviour is deterministic.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -118,7 +122,7 @@ class TestWireFront:
         with ServeClient(server.wire) as client:
             welcome = client.hello()
             assert welcome["type"] == "welcome"
-            assert welcome["protocol"] == 2
+            assert welcome["protocol"] == 3
             assert client.ping()
             health = client.health()
             assert health["ok"] and health["status"] == "serving"
@@ -196,6 +200,17 @@ class TestWireFront:
             reply = client._recv()
             assert reply["type"] == "error"
             assert "frobnicate" in reply["error"]
+            assert client.ping()
+
+    @pytest.mark.parametrize("kind", ["cache.get", "join"])
+    def test_removed_message_types_get_the_generic_error(self, server,
+                                                         kind):
+        with ServeClient(server.wire) as client:
+            client._send({"type": kind, "kind": "stats", "key": "0" * 64,
+                          "worker": "w", "token": ""})
+            reply = client._recv()
+            assert reply["type"] == "error"
+            assert reply["error"] == f"unknown message type {kind!r}"
             assert client.ping()
 
 
@@ -401,6 +416,49 @@ class TestPersistentFleet:
         fleet.shutdown(grace_s=15.0)
         with pytest.raises(RuntimeError):
             fleet.submit(TaskSpec(id="late", fn=_triple, args=(1,)))
+
+
+class TestFleetServedSweep:
+    def test_fleet_sweep_matches_an_uncached_reference(self, monkeypatch):
+        srv = _ServerThread(executor="fleet", workers=2, wire_port=0,
+                            http_port=0, policy=FAST)
+        try:
+            with ServeClient(srv.wire, timeout_s=120) as client:
+                records = list(client.sweep(SPEC, job_id="fleet"))
+                health = client.health()
+        finally:
+            srv.stop()
+        done = records[-1]
+        assert done["type"] == "done"
+        assert done["computed"] == 2 and done["failed"] == 0
+        assert health["workers"]["alive"] == 2
+        served = {r["scheme"]: r["stats"] for r in records
+                  if r["type"] == "cell"}
+        # The reference must not read back what the workers stored.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        reset_cache()
+        clear_cache()
+        ctx = app_context("Music", WALK)
+        for scheme in ("baseline", "critic"):
+            assert served[scheme] == ctx.stats(scheme).to_dict()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_server_without_workers_is_rejected(self, workers):
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            ServeServer(executor="fleet", workers=workers)
+
+    def test_cli_workers_zero_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "--workers", "0",
+             "--wire-port", "0", "--http-port", "0"],
+            env=dict(os.environ,
+                     PYTHONPATH=os.pathsep.join(p for p in sys.path if p)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr
+        assert "at least 1" in proc.stderr
 
 
 class TestLoadgenPieces:
