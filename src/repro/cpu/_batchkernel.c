@@ -4,9 +4,9 @@
  *
  * Compiled on demand by repro.cpu._batchkernel.get_kernel() with the
  * system C compiler (cc -O2 -shared -fPIC) and loaded via ctypes.  The
- * inline simulator is its reference: the golden-stats gate under
- * REPRO_SIM_ENGINE=batch and the --engine fuzz metamorphic require
- * bit-identical SimStats.  Without a compiler the batch engine runs
+ * inline simulator is its reference: the golden-stats gate, run under
+ * both engines, and the identity matrix (tests/test_identity_matrix.py)
+ * require bit-identical SimStats.  Without a compiler the batch engine runs
  * every cell inline instead.
  *
  * Memory model.  The d-cache is simulated here in full (runtime-ordered

@@ -11,9 +11,9 @@ That stepper is a small C translation of the inline simulator's
 system C compiler into a per-user cache directory and loaded via
 :mod:`ctypes`.  No third-party build machinery, no pip dependency.
 
-Its reference is the inline simulator itself: the golden-stats gate
-under ``REPRO_SIM_ENGINE=batch`` and the ``--engine`` fuzz metamorphic
-compare the two bit for bit.  When no compiler is available,
+Its reference is the inline simulator itself: the golden-stats gate,
+run under both engines, and the identity matrix
+(``tests/test_identity_matrix.py``) compare the two bit for bit.  When no compiler is available,
 :func:`get_kernel` returns ``None`` and the batch engine runs every cell
 inline (same numbers, less speed).
 

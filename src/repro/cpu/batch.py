@@ -47,8 +47,8 @@ Fallbacks are per-cell and lossless: a cell the engine cannot vectorize
 kernel deadlock or ring overflow, or a host where the C kernel cannot
 be compiled) runs on the inline simulator with identical
 arguments.  Either way the returned ``SimStats`` are bit-identical to
-the inline engine — the golden-stats suite and the ``--engine`` fuzz
-metamorphic enforce this.
+the inline engine — the golden-stats suite (run under both engines) and
+the identity matrix (``tests/test_identity_matrix.py``) enforce this.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def _require_numpy():
         raise ImportError(
             "the 'batch' simulation engine requires numpy (a runtime "
             "dependency of repro since the batch engine landed); install "
-            "numpy or select the inline engine (--engine inline, "
-            "REPRO_SIM_ENGINE=inline, or simulate(..., engine='inline'))"
+            "numpy or select the inline engine (--engine inline, or "
+            "engine='inline' in simulate, run_apps or a SweepSpec)"
         ) from exc
     return numpy
 

@@ -17,29 +17,34 @@ numbers are computed:
     cycle loop in a compiled kernel, falling back per-cell to ``inline``
     whenever a cell is not vectorizable or no C compiler is available.
 
-Selection, in precedence order: the ``simulate(..., engine=)`` kwarg,
-the ``REPRO_SIM_ENGINE`` environment variable, else ``inline``.
-Factories take no arguments and return the engine callable, so
-``SIMULATORS.create(name)`` is the whole lookup.
+A caller picks one by name (``simulate(..., engine=)``, ``run_apps``,
+the sweep CLI's ``--engine``); naming none means ``inline``, resolved
+by :func:`resolve_engine` alone.  Factories take no arguments and return
+the engine callable, so ``SIMULATORS.create(name)`` is the whole lookup.
 """
 
 from __future__ import annotations
 
-import functools
+from typing import Optional
 
 from repro.registry import SIMULATORS
 
-#: Environment selector honored by :func:`repro.cpu.pipeline.simulate`.
-ENV_ENGINE = "REPRO_SIM_ENGINE"
+
+def resolve_engine(name: Optional[str]) -> str:
+    """The engine a run uses: ``name``, or ``inline`` when none is given.
+
+    Unknown names fail loudly with the registry's did-you-mean hint.
+    """
+    resolved = (name or "").strip() or "inline"
+    SIMULATORS.entry(resolved)
+    return resolved
 
 
 @SIMULATORS.register("inline", version=1)
 def _inline_engine():
     from repro.cpu.pipeline import simulate
 
-    # engine= pinned so the env selector cannot re-route the call back
-    # into the registry (no recursion under REPRO_SIM_ENGINE=batch).
-    return functools.partial(simulate, engine="inline")
+    return simulate
 
 
 @SIMULATORS.register("batch", version=1)

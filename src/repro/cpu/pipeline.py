@@ -33,12 +33,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cpu.branch import ReturnAddressStack
 from repro.cpu.config import CpuConfig, GOOGLE_TABLET
+from repro.cpu.engines import resolve_engine
 from repro.cpu.stats import STAGES, FetchStalls, SimStats, StageResidency
 from repro.dfg.fanout import HIGH_FANOUT_THRESHOLD
 from repro.isa.condition import Cond
 from repro.isa.opcodes import InstrKind, Opcode
 from repro.memory.hierarchy import MemorySystem
-from repro.registry import BRANCH_PREDICTORS, PREFETCHERS
+from repro.registry import BRANCH_PREDICTORS, PREFETCHERS, SIMULATORS
 from repro.registry.protocols import PrefetcherBase
 from repro.telemetry.recorder import (
     FlightRecorder,
@@ -970,14 +971,12 @@ def simulate(
     :mod:`repro.validate`.
 
     ``engine`` selects the simulation engine from the
-    :data:`repro.registry.SIMULATORS` registry (``None`` defers to
-    ``REPRO_SIM_ENGINE``, else ``inline``).  Engines are bit-identical;
-    see :mod:`repro.cpu.engines`.
+    :data:`repro.registry.SIMULATORS` registry (``None`` means
+    ``inline``).  Engines are bit-identical; see
+    :mod:`repro.cpu.engines`.
     """
-    resolved = (engine or os.environ.get("REPRO_SIM_ENGINE", "")).strip() \
-        or "inline"
+    resolved = resolve_engine(engine)
     if resolved != "inline":
-        from repro.registry import SIMULATORS
         return SIMULATORS.create(resolved)(
             trace, config,
             critical_positions=critical_positions,

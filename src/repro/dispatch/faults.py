@@ -25,9 +25,9 @@ optional ``;seed=N`` suffix.  Kinds:
 Determinism: every decision is drawn from ``Random(crc32(seed, task_id,
 attempt, kind))`` — a pure function of the plan seed and the attempt's
 identity.  Re-running the same grid under the same spec injects the same
-faults at the same places, which is what lets the dispatch metamorphic
-(`inline == fleet == fleet-with-faults`) be a CI gate rather than a
-flake.  A task that draws a fault on attempt 1 draws *independently* on
+faults at the same places, which is what lets the identity matrix's
+killed-worker row (``tests/test_identity_matrix.py``) be a tier-1 test
+rather than a flake.  A task that draws a fault on attempt 1 draws *independently* on
 attempt 2, so fault probabilities < 1 always leave an escape path; tasks
 that keep losing the draw exhaust their attempt budget and quarantine to
 the parent's inline path, which injects nothing.

@@ -19,7 +19,6 @@ from repro.experiments import (  # noqa: F401
 from repro.experiments.runner import (
     AppContext,
     DEFAULT_WALK_BLOCKS,
-    SCHEMES,
     app_context,
     clear_cache,
     default_jobs,
@@ -31,7 +30,6 @@ from repro.experiments.runner import (
 __all__ = [
     "AppContext",
     "DEFAULT_WALK_BLOCKS",
-    "SCHEMES",
     "app_context",
     "clear_cache",
     "default_jobs",

@@ -49,7 +49,7 @@ from repro.dispatch import (
 from repro.telemetry.manifest import record_run
 from repro.compiler import PassManager
 from repro.cpu import CpuConfig, GOOGLE_TABLET, SimStats, simulate
-from repro.cpu.engines import ENV_ENGINE
+from repro.cpu.engines import resolve_engine
 from repro.profiler import CriticProfile, FinderConfig, find_critic_profile
 from repro.registry import (
     EXECUTORS,
@@ -90,12 +90,6 @@ def _env_int(name: str, default: int, minimum: int = 1) -> int:
 
 #: Dynamic block budget for generated walks (env-overridable).
 DEFAULT_WALK_BLOCKS = _env_int("REPRO_WALK_BLOCKS", 700)
-
-#: Scheme names accepted by :func:`scheme_trace` — derived from the
-#: recipe registry (:mod:`repro.experiments.schemes` registers the
-#: paper's eight in canonical order), so registering a new recipe is the
-#: whole story: it shows up here, in the sweep engine, and in the fuzzer.
-SCHEMES = SCHEME_RECIPES.names()
 
 _workloads: Dict[Tuple[str, int, str], "AppContext"] = {}
 
@@ -421,9 +415,27 @@ def _cell_task(*args, body=_run_cell, capture_telemetry: bool = True,
     return (*body(*args), telemetry.snapshot())
 
 
-def _batch_manifest_block() -> Optional[Dict[str, object]]:
-    """Batch-engine provenance for the run manifest, aggregated from the
-    merged metrics registry.
+#: The metric families the manifest's ``batch`` block reads.
+_BATCH_FAMILIES = ("repro_batch_groups_total", "repro_batch_fallback_total",
+                   "repro_batch_cells_total", "repro_batch_group_width")
+
+_Samples = Dict[str, Dict[Tuple[Tuple[str, str], ...], object]]
+
+
+def _batch_samples() -> _Samples:
+    """A copy of the ``repro_batch_*`` samples: the baseline a run takes
+    when it starts, so its manifest counts only its own batches."""
+    families = telemetry.metrics.REGISTRY.families()
+    return {
+        name: {key: list(cell) if isinstance(cell, list) else cell
+               for key, cell in families[name].samples.items()}
+        for name in _BATCH_FAMILIES if name in families
+    }
+
+
+def _batch_manifest_block(since: _Samples) -> Optional[Dict[str, object]]:
+    """Batch-engine provenance for the run manifest: the ``repro_batch_*``
+    samples gained since the ``since`` baseline.
 
     ``repro.cpu.batch.last_batch_report()`` is process-local — under the
     fleet executor the interesting report lives (and dies) in a
@@ -431,37 +443,38 @@ def _batch_manifest_block() -> Optional[Dict[str, object]]:
     result snapshot back to the parent with exactly-once merge
     semantics, so aggregating *them* here yields fleet-wide group
     shapes and fallback reasons no matter which backend ran the sweep.
-    Lands in the manifest's ``extra`` — outside the invocation record,
-    so ``config_hash`` never sees it.
+    The registry is process-cumulative, hence the baseline.  Lands in
+    the manifest's ``extra`` — outside the invocation record, so
+    ``config_hash`` never sees it.
     """
-    families = telemetry.metrics.REGISTRY.families()
-    groups = families.get("repro_batch_groups_total")
-    if groups is None or not groups.samples:
+    now = _batch_samples()
+
+    def gained(name: str, label: str) -> Dict[str, object]:
+        before = since.get(name, {})
+        out: Dict[str, object] = {}
+        for key, value in sorted(now.get(name, {}).items()):
+            value = value - before.get(key, 0)
+            if value:
+                out[dict(key).get(label, "")] = value
+        return out
+
+    groups = gained("repro_batch_groups_total", "kernel")
+    if not groups:
         return None
     block: Dict[str, object] = {
-        "groups_by_kernel": {
-            dict(key).get("kernel", ""): count
-            for key, count in sorted(groups.samples.items())
-        },
+        "groups_by_kernel": groups,
+        "fallbacks_by_reason": gained("repro_batch_fallback_total",
+                                      "reason"),
+        "cells_by_path": gained("repro_batch_cells_total", "path"),
     }
-    fallbacks = families.get("repro_batch_fallback_total")
-    block["fallbacks_by_reason"] = {
-        dict(key).get("reason", ""): count
-        for key, count in sorted(fallbacks.samples.items())
-    } if fallbacks is not None else {}
-    cells = families.get("repro_batch_cells_total")
-    if cells is not None:
-        block["cells_by_path"] = {
-            dict(key).get("path", ""): count
-            for key, count in sorted(cells.samples.items())
-        }
-    width = families.get("repro_batch_group_width")
-    if width is not None and width.samples and width.buckets:
-        agg: Optional[List[float]] = None
-        for cell in width.samples.values():
-            agg = list(cell) if agg is None \
-                else [a + b for a, b in zip(agg, cell)]
-        assert agg is not None
+    width = telemetry.metrics.REGISTRY.families().get(
+        "repro_batch_group_width")
+    if width is not None and width.buckets:
+        agg = [0.0] * (len(width.buckets) + 3)
+        before = since.get("repro_batch_group_width", {})
+        for key, cell in now.get("repro_batch_group_width", {}).items():
+            base = before.get(key) or [0.0] * len(agg)
+            agg = [a + c - b for a, c, b in zip(agg, cell, base)]
         bounds = [str(int(b)) if float(b).is_integer() else str(b)
                   for b in width.buckets] + ["+Inf"]
         block["group_width"] = {
@@ -481,6 +494,21 @@ _last_report: Optional[DispatchReport] = None
 def last_dispatch_report() -> Optional[DispatchReport]:
     """Executor/attempt provenance of the last ``run_apps`` fan-out."""
     return _last_report
+
+
+def _run_extra(engine: str, batch_since: _Samples) -> Dict[str, object]:
+    """The manifest ``extra`` of a grid run that just finished: its
+    engine identity, the last fan-out's dispatch report, and the batch
+    block since ``batch_since``.  All of it sits outside the invocation
+    record, so ``config_hash`` (and with it the artifact cache) is
+    engine- and executor-blind: both are bit-identical provenance."""
+    extra: Dict[str, object] = {"engine": SIMULATORS.identity(engine)}
+    if _last_report:
+        extra["dispatch"] = _last_report.to_dict()
+    batch_block = _batch_manifest_block(batch_since)
+    if batch_block:
+        extra["batch"] = batch_block
+    return extra
 
 
 def run_apps(apps: Sequence[str],
@@ -522,28 +550,15 @@ def run_apps(apps: Sequence[str],
     """
     blocks = walk_blocks if walk_blocks is not None else DEFAULT_WALK_BLOCKS
     schemes = tuple(schemes)
-    engine_name = (engine or os.environ.get(ENV_ENGINE, "")).strip() \
-        or "inline"
-    SIMULATORS.entry(engine_name)  # unknown engines fail loudly
+    engine_name = resolve_engine(engine)
     family = workload_family or "default"
     WORKLOAD_FAMILIES.entry(family)  # unknown families fail loudly
+    batch_since = _batch_samples()
     started = time.perf_counter()
     with telemetry.span("run_apps", apps=len(apps),
                         schemes=",".join(schemes)):
         results = _run_apps_grid(apps, schemes, jobs, configs, blocks,
                                  executor, engine_name, family)
-    report = _last_report
-    # Engine identity rides in ``extra`` — recorded in the manifest but
-    # outside the invocation record, so ``config_hash`` (and with it the
-    # artifact cache) is engine-blind: engines are bit-identical.
-    extra: Dict[str, object] = {
-        "engine": SIMULATORS.identity(engine_name),
-    }
-    if report:
-        extra["dispatch"] = report.to_dict()
-    batch_block = _batch_manifest_block()
-    if batch_block:
-        extra["batch"] = batch_block
     record_run(
         "run_apps",
         apps=list(apps),
@@ -556,7 +571,7 @@ def run_apps(apps: Sequence[str],
         components={config.name: component_identity(config)
                     for config in configs},
         workload_family=WORKLOAD_FAMILIES.identity(family),
-        extra=extra,
+        extra=_run_extra(engine_name, batch_since),
     )
     return results
 

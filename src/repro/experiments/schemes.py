@@ -5,10 +5,10 @@ Each recipe builds the compiler pass pipeline for one evaluated scheme
 from an :class:`~repro.experiments.runner.AppContext` — the paper's eight
 schemes are registered here in canonical presentation order (baseline,
 Hoist, CritIC, CritIC.Ideal, Approach-1 branch switching, OPP16,
-Compress, OPP16+CritIC), and :data:`repro.experiments.runner.SCHEMES` is
-derived from that registration order.  A plugin that registers a ninth
-recipe automatically shows up in ``scheme_trace``, the sweep engine, and
-the fuzzer's scheme loop.
+Compress, OPP16+CritIC), and ``SCHEME_RECIPES.names()`` lists them in
+that registration order.  A plugin that registers a ninth recipe
+automatically shows up in ``scheme_trace``, the sweep engine, and the
+fuzzer's scheme loop, which read the registry at call time.
 
 Recipes only touch the context surfaces the :class:`SchemeRecipe`
 protocol documents (``workload``, ``critic_profile``); pulling the

@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu import CpuConfig, SimStats, speedup
-from repro.cpu.engines import ENV_ENGINE
+from repro.cpu.engines import resolve_engine
 from repro.experiments.runner import (
     DEFAULT_WALK_BLOCKS,
-    _batch_manifest_block,
+    _batch_samples,
+    _run_extra,
     app_context,
     format_table,
     geometric_mean,
-    last_dispatch_report,
     run_apps,
 )
 from repro.registry import (
@@ -81,8 +81,8 @@ class SweepSpec:
     #: for one job)
     executor: Optional[str] = None
     #: simulation engine, by :data:`~repro.registry.SIMULATORS` name
-    #: (``None`` defers to ``REPRO_SIM_ENGINE`` / ``inline``); engines
-    #: are bit-identical, so this changes wall time, never numbers
+    #: (``None`` means ``inline``); engines are bit-identical, so this
+    #: changes wall time, never numbers
     engine: Optional[str] = None
     #: workload family (scenario generator), by
     #: :data:`~repro.registry.WORKLOAD_FAMILIES` name (``None`` means
@@ -234,6 +234,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Validate, materialize, and manifest one declarative sweep."""
     spec.validate()
     configs = spec.resolve_configs()
+    batch_since = _batch_samples()
     started = time.perf_counter()
     with span("sweep", apps=len(spec.apps),
               schemes=",".join(spec.schemes),
@@ -245,20 +246,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         )
     blocks = spec.walk_blocks if spec.walk_blocks is not None \
         else DEFAULT_WALK_BLOCKS
-    report = last_dispatch_report()
     family = spec.workload_family or "default"
-    engine_name = (spec.engine or os.environ.get(ENV_ENGINE, "")).strip() \
-        or "inline"
-    # Like the runner manifest: engine identity recorded, config_hash
-    # engine-blind (engines are bit-identical).
-    extra: Dict[str, object] = {
-        "engine": SIMULATORS.identity(engine_name),
-    }
-    if report:
-        extra["dispatch"] = report.to_dict()
-    batch_block = _batch_manifest_block()
-    if batch_block:
-        extra["batch"] = batch_block
     record_run(
         "sweep",
         apps=list(spec.apps),
@@ -271,7 +259,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         components={config.name: component_identity(config)
                     for config in configs},
         workload_family=WORKLOAD_FAMILIES.identity(family),
-        extra=extra,
+        extra=_run_extra(resolve_engine(spec.engine), batch_since),
     )
     return SweepResult(spec=spec, configs=configs, grid=grid)
 
@@ -341,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "inline)")
     parser.add_argument("--engine", default=None, metavar="NAME",
                         help="simulation engine: inline or batch "
-                             "(default REPRO_SIM_ENGINE or inline; "
-                             "bit-identical results either way)")
+                             "(default inline; bit-identical results "
+                             "either way)")
     parser.add_argument("--workload-family", default=None, metavar="NAME",
                         help="workload family (scenario generator): "
                              "default, phased, bursty, zipfian-footprint, "

@@ -99,7 +99,7 @@ EXECUTORS = Registry(
 #: callable (a *simulation engine*): ``inline`` is the reference
 #: cycle-loop simulator, ``batch`` the lockstep many-cells-per-trace
 #: engine.  Engines are bit-identical by contract — the golden-stats
-#: gate and the ``--engine`` fuzz metamorphic enforce it — so engine
+#: gate and the identity matrix enforce it — so engine
 #: identity is recorded in run manifests but excluded from cache keys
 #: and ``config_hash``.
 SIMULATORS = Registry(

@@ -45,6 +45,7 @@ from typing import Any, AsyncIterator, Dict, List, Optional, Set, Tuple
 from repro import telemetry
 from repro.cache import get_cache
 from repro.cpu import CpuConfig
+from repro.cpu.engines import resolve_engine
 from repro.dispatch import RetryPolicy, TaskResult, TaskSpec
 from repro.dispatch.fleet import PersistentFleet
 from repro.experiments.runner import (
@@ -54,6 +55,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweep import SweepSpec
 from repro.registry import (
+    SIMULATORS,
     WORKLOAD_FAMILIES,
     all_registries,
     component_identity,
@@ -399,7 +401,7 @@ class ServeServer:
     async def _execute(self,
                        job: _Job) -> AsyncIterator[Dict[str, Any]]:
         spec = job.spec
-        engine = (spec.engine or "").strip() or None
+        engine = resolve_engine(spec.engine)
         family = spec.workload_family or "default"
         # Probe the warm path first: memo + disk cache, no fleet.
         todo: List[Tuple[str, CpuConfig, Tuple[str, ...],
@@ -443,17 +445,25 @@ class ServeServer:
         # computing become subscriptions on its in-flight future; the
         # rest this job computes, registering futures of its own.  This
         # runs on the event loop with no await between lookup and
-        # registration, so two jobs can never both claim a cell.
+        # registration, so two jobs can never both claim a cell.  The
+        # probe ran off the loop, so a cell another job finished since
+        # then has no future any more but is in the memo (set before
+        # the future is retired): it is served as cached.
         loop = asyncio.get_running_loop()
         subscribe: List[Tuple[str, str, str,
                               "asyncio.Future[Any]"]] = []
         compute: List[Tuple[str, CpuConfig, Tuple[str, ...],
                             Dict[str, str]]] = []
+        finished: List[Tuple[str, str, str, Any]] = []
         for name, config, missing, keys in todo:
+            memo = app_context(name, job.blocks, family)._stats
             own = []
             for scheme in missing:
                 fut = self._inflight.get(keys[scheme])
-                if fut is not None:
+                if fut is None and (scheme, config.name) in memo:
+                    finished.append((name, scheme, config.name,
+                                     memo[(scheme, config.name)]))
+                elif fut is not None:
                     subscribe.append((name, scheme, config.name, fut))
                     telemetry.inc("repro_serve_coalesced_total",
                                   help="Cold cells answered by "
@@ -492,6 +502,10 @@ class ServeServer:
             asyncio.ensure_future(self._await_coalesced(
                 job, sub_id, name, scheme, config_name, fut))
         try:
+            for name, scheme, config_name, stats in finished:
+                yield self._cell_record(job, name, scheme, config_name,
+                                        cached=True, wall_s=0.0,
+                                        stats=stats)
             if self.fleet is not None:
                 for task in tasks:
                     await asyncio.to_thread(self.fleet.submit, task)
@@ -623,12 +637,16 @@ class ServeServer:
                 components={c.name: component_identity(c)
                             for c in job.configs},
                 workload_family=WORKLOAD_FAMILIES.identity(family),
-                extra={"serve": {
-                    "job": job.id, "front": job.front,
-                    "executor": self.executor,
-                    "cached": job.cached, "computed": job.computed,
-                    "failed": job.failed,
-                }},
+                extra={
+                    "engine": SIMULATORS.identity(
+                        resolve_engine(job.spec.engine)),
+                    "serve": {
+                        "job": job.id, "front": job.front,
+                        "executor": self.executor,
+                        "cached": job.cached, "computed": job.computed,
+                        "failed": job.failed,
+                    },
+                },
             )
         except OSError:
             pass

@@ -59,15 +59,6 @@ def main(argv=None) -> int:
                         help="validate a catalog app (repeatable)")
     parser.add_argument("--no-differential", action="store_true",
                         help="skip the in-order differential oracle")
-    parser.add_argument("--dispatch", action="store_true",
-                        help="end the fuzz campaign with the dispatch "
-                             "metamorphic (same grid under inline, fleet "
-                             "and fleet-with-faults must agree bitwise)")
-    parser.add_argument("--engine", action="store_true",
-                        help="end the fuzz campaign with the engine "
-                             "metamorphic (same grid under the inline "
-                             "and batch simulation engines must agree "
-                             "bitwise, including manifest config_hash)")
     parser.add_argument("--families", action="store_true",
                         help="end the fuzz campaign with the workload-"
                              "family metamorphic (every registered "
@@ -104,8 +95,6 @@ def main(argv=None) -> int:
         result = run_fuzz(
             args.fuzz, seed=args.seed, walk_blocks=args.walk_blocks,
             differential=not args.no_differential,
-            dispatch=args.dispatch,
-            engines=args.engine,
             families=args.families,
             progress=lambda line: print(line, flush=True),
         )

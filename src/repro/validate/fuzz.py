@@ -27,12 +27,10 @@ must hold between runs regardless of the absolute numbers:
   instruction prefetcher never *adds* demand i-cache misses beyond
   alignment/pollution noise: its fills install lines ahead of the fetch
   stream, they never count as demand accesses.
-* **Dispatch equivalence** — one grid, run once per execution backend
-  (``inline``, ``fleet``, and ``fleet`` with seeded fault injection
-  active), must produce identical ``SimStats`` for every cell *and*
-  identical manifest ``config_hash`` values: how cells were executed —
-  including how many workers were SIGKILLed along the way — is
-  provenance, never part of the result.
+
+That one grid gives the same ``SimStats`` under every engine, executor,
+cache state, workload family and front is not a fuzz property: the
+table in ``tests/test_identity_matrix.py`` asserts it in tier-1.
 
 Both new registered components (the TRRIP i-cache policy and the
 critical-nextline prefetcher) are also run under the in-order
@@ -46,11 +44,9 @@ a reproducer.
 
 from __future__ import annotations
 
-import os
 import random
-import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.cpu.config import (
     CpuConfig,
@@ -62,8 +58,8 @@ from repro.cpu.config import (
 )
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import SimStats
-from repro.experiments.runner import SCHEMES, AppContext
-from repro.registry import HARDWARE_CONFIGS
+from repro.experiments.runner import AppContext
+from repro.registry import HARDWARE_CONFIGS, SCHEME_RECIPES
 from repro.validate.differential import differential_check
 from repro.validate.invariants import RunValidator, ValidationReport
 from repro.workloads import ALL_PROFILES, WorkloadProfile
@@ -163,10 +159,11 @@ def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
         return simulate(trace, config, validator=validator)
 
     baseline = ctx.trace()
-    traces = {scheme: ctx.scheme_trace(scheme) for scheme in SCHEMES}
+    traces = {scheme: ctx.scheme_trace(scheme)
+              for scheme in SCHEME_RECIPES.names()}
     cycles: Dict[str, int] = {}
-    for scheme in SCHEMES:
-        cycles[scheme] = run(traces[scheme], GOOGLE_TABLET).cycles
+    for scheme, trace in traces.items():
+        cycles[scheme] = run(trace, GOOGLE_TABLET).cycles
 
     # -- Thumb re-encoding never increases fetched bytes -------------------
     base_bytes = baseline.dynamic_bytes()
@@ -288,185 +285,6 @@ def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
     return report
 
 
-#: Fault spec injected into the fleet leg of the dispatch metamorphic:
-#: aggressive enough that workers reliably die mid-campaign, seeded so a
-#: failure is a reproducer.
-DISPATCH_FAULTS = "kill:0.35,drop:0.25,corrupt:0.2;seed={seed}"
-
-
-def dispatch_metamorphic(rng: random.Random, result: FuzzResult,
-                         walk_blocks: int = 80) -> ValidationReport:
-    """One grid, three execution legs, bitwise-identical results.
-
-    Runs the same app x scheme x config grid under ``inline``, a
-    fault-free ``fleet``, and a ``fleet`` with seeded fault injection
-    killing and corrupting workers — each leg keyed by its label and run
-    against its own throwaway artifact cache, then demands identical
-    :class:`SimStats` for every cell and an identical manifest
-    ``config_hash``: execution provenance (executor, attempts, retries,
-    quarantines) must never leak into results or cache identity.
-    """
-    from repro.cache import ENV_DIR, ENV_ENABLE, reset_cache
-    from repro.dispatch import ENV_FAULTS
-    from repro.experiments import runner
-    from repro.telemetry.manifest import LAST_RUN, load_manifest, \
-        manifest_dir
-
-    report = ValidationReport(trace_name="dispatch", config_name="grid")
-    app = rng.choice(sorted(ALL_PROFILES)[:8])
-    scheme = rng.choice(["hoist", "critic", "opp16"])
-    faults = DISPATCH_FAULTS.format(seed=rng.randrange(1, 1 << 16))
-    # (label, executor, fault spec)
-    legs: List[Tuple[str, str, Optional[str]]] = [
-        ("inline", "inline", None),
-        ("fleet", "fleet", None),
-        ("faulted-fleet", "fleet", faults),
-    ]
-    grids: Dict[str, Dict] = {}
-    hashes: Dict[str, str] = {}
-    reports: Dict[str, Optional[Dict]] = {}
-    saved = {name: os.environ.get(name)
-             for name in (ENV_DIR, ENV_ENABLE, ENV_FAULTS)}
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-dispatch-") \
-                as root:
-            for label, backend, fault_spec in legs:
-                os.environ[ENV_ENABLE] = "1"
-                os.environ[ENV_DIR] = os.path.join(root, label)
-                if fault_spec:
-                    os.environ[ENV_FAULTS] = fault_spec
-                else:
-                    os.environ.pop(ENV_FAULTS, None)
-                reset_cache()
-                runner.clear_cache()
-                grids[label] = runner.run_apps(
-                    [app], schemes=("baseline", scheme), jobs=2,
-                    configs=(GOOGLE_TABLET, config_4x_icache()),
-                    walk_blocks=walk_blocks, executor=backend,
-                )
-                result.simulations += 4
-                manifest = load_manifest(
-                    str(manifest_dir() / LAST_RUN))
-                hashes[label] = manifest["config_hash"]
-                reports[label] = manifest.get("dispatch")
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        reset_cache()
-        runner.clear_cache()
-
-    for label, _backend, fault_spec in legs[1:]:
-        _meta(
-            report, result, grids[label] == grids["inline"],
-            "meta_dispatch_stats",
-            f"{label} leg changed SimStats for {app}/{scheme} "
-            f"(faults={fault_spec!r})",
-            leg=label,
-        )
-        _meta(
-            report, result, hashes[label] == hashes["inline"],
-            "meta_dispatch_manifest",
-            f"{label} leg changed the manifest config_hash: "
-            f"{hashes[label]} vs inline {hashes['inline']}",
-            leg=label,
-        )
-    fleet = reports["faulted-fleet"] or {}
-    _meta(
-        report, result, fleet.get("executor") == "fleet@1",
-        "meta_dispatch_manifest",
-        f"fleet manifest lacks executor provenance: {fleet}",
-    )
-    _meta(
-        report, result, fleet.get("faults") == faults,
-        "meta_dispatch_manifest",
-        f"fleet manifest lost the active fault spec: {fleet}",
-    )
-    result.reports.append(report)
-    return report
-
-
-def engine_metamorphic(rng: random.Random, result: FuzzResult,
-                       walk_blocks: int = 80) -> ValidationReport:
-    """One grid, every simulation engine, bitwise-identical results.
-
-    Runs the same app x scheme x config grid under the ``inline`` and
-    ``batch`` engines — each against its own throwaway artifact cache —
-    and demands identical :class:`SimStats` for every cell plus an
-    identical manifest ``config_hash``: the engine is provenance (the
-    manifest must *record* it), never part of the result or the cache
-    identity.  The config list deliberately mixes plain cells (batched
-    fast path) with a CLPT config whose load-observing prefetcher cannot
-    be vectorized, so the per-cell inline fallback inside a batch is
-    exercised every round.  Acrobat joins every grid: at walk 80 its
-    traces over-subscribe L2 sets, so every round also drives the batch
-    kernel's L2 and DRAM model.
-    """
-    from repro.cache import ENV_DIR, ENV_ENABLE, reset_cache
-    from repro.experiments import runner
-    from repro.telemetry.manifest import LAST_RUN, load_manifest, \
-        manifest_dir
-
-    report = ValidationReport(trace_name="engine", config_name="grid")
-    app = rng.choice(sorted(ALL_PROFILES)[:8])
-    apps = [app] if app == "Acrobat" else [app, "Acrobat"]
-    scheme = rng.choice(["hoist", "critic", "opp16"])
-    configs = (GOOGLE_TABLET, config_4x_icache(),
-               config_critical_prefetch())
-    legs = ("inline", "batch")
-    grids: Dict[str, Dict] = {}
-    hashes: Dict[str, str] = {}
-    identities: Dict[str, Optional[str]] = {}
-    saved = {name: os.environ.get(name) for name in (ENV_DIR, ENV_ENABLE)}
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-engine-") \
-                as root:
-            for engine in legs:
-                os.environ[ENV_ENABLE] = "1"
-                os.environ[ENV_DIR] = os.path.join(root, engine)
-                reset_cache()
-                runner.clear_cache()
-                grids[engine] = runner.run_apps(
-                    apps, schemes=("baseline", scheme), jobs=1,
-                    configs=configs, walk_blocks=walk_blocks,
-                    engine=engine,
-                )
-                result.simulations += 2 * len(apps) * len(configs)
-                manifest = load_manifest(str(manifest_dir() / LAST_RUN))
-                hashes[engine] = manifest["config_hash"]
-                identities[engine] = manifest.get("engine")
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        reset_cache()
-        runner.clear_cache()
-
-    _meta(
-        report, result, grids["batch"] == grids["inline"],
-        "meta_engine_stats",
-        f"batch engine changed SimStats for {'+'.join(apps)}/{scheme}: "
-        f"the engines must be bit-identical",
-    )
-    _meta(
-        report, result, hashes["batch"] == hashes["inline"],
-        "meta_engine_manifest",
-        f"engine choice changed the manifest config_hash: "
-        f"{hashes['batch']} vs inline {hashes['inline']}",
-    )
-    _meta(
-        report, result, identities["batch"] == "batch@1",
-        "meta_engine_manifest",
-        f"batch manifest lacks engine provenance: {identities['batch']!r}",
-    )
-    result.reports.append(report)
-    return report
-
-
 def family_metamorphic(rng: random.Random, result: FuzzResult,
                        walk_blocks: int = 100) -> ValidationReport:
     """Every workload family, four metamorphic properties per family.
@@ -566,21 +384,14 @@ def run_fuzz(
     seed: int = 3,
     walk_blocks: int = 120,
     differential: bool = True,
-    dispatch: bool = False,
-    engines: bool = False,
     families: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzResult:
     """Run ``iterations`` fuzz rounds; deterministic for a given seed.
 
-    With ``dispatch=True`` the campaign ends with one
-    :func:`dispatch_metamorphic` round (the grid-under-every-executor
-    equivalence check) — off by default because it spawns real worker
-    processes and throwaway caches.  With ``engines=True`` it ends with
-    one :func:`engine_metamorphic` round (the grid-under-every-engine
-    equivalence check; in-process, but needs a throwaway cache pair).
-    With ``families=True`` it ends with one :func:`family_metamorphic`
-    round covering every registered workload family.
+    With ``families=True`` the campaign ends with one
+    :func:`family_metamorphic` round covering every registered workload
+    family.
     """
     rng = random.Random(seed)
     result = FuzzResult()
@@ -595,21 +406,6 @@ def run_fuzz(
                 f"[{index + 1}/{iterations}] {profile.name} "
                 f"(seed={profile.seed}): {status}"
             )
-    if dispatch:
-        report = dispatch_metamorphic(rng, result,
-                                      walk_blocks=min(walk_blocks, 80))
-        result.iterations += 1
-        if progress is not None:
-            status = "ok" if report.ok else "FAIL"
-            progress(f"[dispatch] inline/fleet/faulted-fleet equivalence: "
-                     f"{status}")
-    if engines:
-        report = engine_metamorphic(rng, result,
-                                    walk_blocks=min(walk_blocks, 80))
-        result.iterations += 1
-        if progress is not None:
-            status = "ok" if report.ok else "FAIL"
-            progress(f"[engine] inline/batch equivalence: {status}")
     if families:
         report = family_metamorphic(rng, result,
                                     walk_blocks=min(walk_blocks, 100))

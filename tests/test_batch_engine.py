@@ -3,10 +3,13 @@
 The engine's contract is *bit-identity*: a batch must produce exactly
 the ``SimStats`` the inline simulator produces cell by cell, whatever
 mix of fast-path and fallback cells the batch contains.  These tests
-exercise that contract on small grids, plus the memoization-sharing and
-heterogeneous-grouping guarantees, engine selection, and the loud
-numpy error.  The full 56-cell golden comparison runs in CI under
-``REPRO_SIM_ENGINE=batch`` (the ``integration`` job).
+exercise that contract on kernel corner cases (over-subscribed and
+shrunken L2s, the per-cell fallbacks), plus the memoization-sharing and
+heterogeneous-grouping guarantees, engine selection, the manifest's
+per-run batch block, and the loud numpy error.  The 56-cell golden
+comparison runs under both engines in ``tests/test_golden_stats.py``;
+the engine x executor x cache x family x front matrix, with the
+no-compiler row, is ``tests/test_identity_matrix.py``.
 """
 
 import sys
@@ -45,7 +48,6 @@ WALK = 100
 @pytest.fixture(autouse=True)
 def _fresh_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     reset_cache()
     runner.clear_cache()
     yield
@@ -285,6 +287,24 @@ class TestFallbacks:
         assert batch.to_dict() == _inline(trace, config).to_dict()
 
 
+class TestManifestBatchBlock:
+    def test_block_covers_only_its_own_run(self):
+        """The registry is process-cumulative; a run's manifest block is
+        the part its own batches added."""
+        telemetry.reset()
+        runner.run_apps(["Music"], jobs=1, walk_blocks=60, engine="batch",
+                        configs=(GOOGLE_TABLET, config_critical_prefetch()))
+        first = load_manifest(str(manifest_dir() / LAST_RUN))["batch"]
+        assert first["cells_by_path"] == {"fallback": 1, "fast": 1}
+        runner.run_apps(["Email"], jobs=1, walk_blocks=60, engine="batch")
+        second = load_manifest(str(manifest_dir() / LAST_RUN))["batch"]
+        assert second["cells_by_path"] == {"fast": 1}
+        assert second["fallbacks_by_reason"] == {}
+        assert second["groups_by_kernel"] == {"c": 1}
+        assert second["group_width"]["count"] == 1
+        assert second["group_width"]["buckets"]["1"] == 1
+
+
 class TestEngineSelection:
     def test_registry_lists_both_engines(self):
         assert "inline" in SIMULATORS.names()
@@ -295,26 +315,6 @@ class TestEngineSelection:
         trace = _fresh_trace()
         assert simulate(trace, GOOGLE_TABLET, engine="batch").to_dict() \
             == _inline(trace, GOOGLE_TABLET).to_dict()
-
-    def test_engine_env(self, monkeypatch):
-        trace = _fresh_trace()
-        baseline = _inline(trace, GOOGLE_TABLET).to_dict()
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "batch")
-        assert simulate(trace, GOOGLE_TABLET).to_dict() == baseline
-        # The kwarg wins over the env.
-        assert simulate(
-            trace, GOOGLE_TABLET, engine="inline").to_dict() == baseline
-
-    def test_run_apps_engine_kwarg_wins_over_env(self, monkeypatch):
-        # An explicit inline engine must reach simulate() as "inline",
-        # not as None that re-reads REPRO_SIM_ENGINE inside the cell.
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "batch")
-        telemetry.reset()
-        runner.run_apps(["Music"], jobs=1, walk_blocks=60, engine="inline")
-        assert telemetry.metrics.REGISTRY.counters_flat(
-            "repro_batch_cells_total") == {}
-        manifest = load_manifest(str(manifest_dir() / LAST_RUN))
-        assert manifest["engine"] == "inline@1"
 
     def test_unknown_engine_fails_loudly(self):
         trace = _fresh_trace()
@@ -329,7 +329,8 @@ class TestNumpyDependency:
             batch_mod._require_numpy()
         message = str(excinfo.value)
         assert "batch" in message
-        assert "REPRO_SIM_ENGINE=inline" in message
+        assert "--engine inline" in message
+        assert "engine='inline'" in message
 
     def test_inline_engine_importable_without_numpy(self):
         # The inline path must never touch repro.cpu.batch: listing the

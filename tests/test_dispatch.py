@@ -478,22 +478,6 @@ class TestDispatchReport:
         assert excinfo.value.task_id == "cell"
 
 
-class TestDispatchMetamorphic:
-    def test_grid_identical_across_backends(self):
-        """The fuzzer's dispatch property: one grid under inline, fleet,
-        and fleet-with-faults produces identical SimStats and identical
-        manifest config hashes."""
-        import random
-
-        from repro.validate.fuzz import FuzzResult, dispatch_metamorphic
-
-        result = FuzzResult()
-        report = dispatch_metamorphic(random.Random(5), result,
-                                      walk_blocks=60)
-        assert report.ok, report.summary()
-        assert result.properties_checked >= 6
-
-
 class TestExecutorRegistry:
     def test_builtins_registered(self):
         assert set(EXECUTORS.names()) == {"inline", "fleet"}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import (
-    SCHEMES,
     app_context,
     fig01,
     fig05,
@@ -11,6 +10,7 @@ from repro.experiments import (
     format_table,
     geometric_mean,
 )
+from repro.registry import SCHEME_RECIPES
 
 WALK = 120  # tiny: these are wiring tests, not reproductions
 
@@ -24,7 +24,7 @@ class TestAppContext:
     def test_all_schemes_produce_traces(self):
         ctx = app_context("Music", WALK)
         base_len = len(ctx.scheme_trace("baseline"))
-        for scheme in SCHEMES:
+        for scheme in SCHEME_RECIPES.names():
             trace = ctx.scheme_trace(scheme)
             assert len(trace) >= base_len  # transforms only add CDPs
 

@@ -11,6 +11,11 @@ The scheme and config name lists are pinned *here*, not imported from the
 registries, so a refactor that silently drops a variant fails loudly
 instead of shrinking the grid.
 
+The grid is checked once per simulation engine, each from an empty
+cache and memo: ``test_scheme_cells_bit_identical[<scheme>]`` runs the
+inline reference, ``[<scheme>-batch]`` the batch engine (seven configs
+per scheme in one kernel batch).
+
 Regenerate (only for an intentional, CHANGES.md-documented semantic
 change)::
 
@@ -47,17 +52,20 @@ def _config_by_name(name: str):
     return HARDWARE_VARIANTS[name]()
 
 
-def compute_cells():
-    """Simulate the whole pinned grid; returns {scheme|config: to_dict}."""
-    from repro.experiments.runner import app_context
+ENGINES = ("inline", "batch")
 
-    ctx = app_context(APP, WALK_BLOCKS)
-    cells = {}
-    for scheme in GOLDEN_SCHEMES:
-        for config_name in GOLDEN_CONFIGS:
-            stats = ctx.stats(scheme, _config_by_name(config_name))
-            cells[f"{scheme}|{config_name}"] = stats.to_dict()
-    return cells
+
+def compute_cells(engine="inline"):
+    """Simulate the whole pinned grid; returns {scheme|config: to_dict}."""
+    from repro.experiments.runner import run_apps
+
+    grid = run_apps([APP], GOLDEN_SCHEMES, jobs=1,
+                    configs=[_config_by_name(c) for c in GOLDEN_CONFIGS],
+                    walk_blocks=WALK_BLOCKS, engine=engine)[APP]
+    return {
+        f"{scheme}|{config_name}": grid[(scheme, config_name)].to_dict()
+        for scheme in GOLDEN_SCHEMES for config_name in GOLDEN_CONFIGS
+    }
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +78,28 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def computed():
-    return compute_cells()
+def computed(tmp_path_factory):
+    """``engine -> cells``, each engine run once from an empty cache and
+    memo (engines are kept out of cache keys, so a shared cache would
+    hand the second engine the first one's stats)."""
+    from repro.cache import reset_cache
+    from repro.experiments.runner import clear_cache
+
+    cells = {}
+
+    def for_engine(engine):
+        if engine not in cells:
+            with pytest.MonkeyPatch.context() as env:
+                env.setenv("REPRO_CACHE_DIR",
+                           str(tmp_path_factory.mktemp(engine)))
+                reset_cache()
+                clear_cache()
+                cells[engine] = compute_cells(engine)
+            reset_cache()
+            clear_cache()
+        return cells[engine]
+
+    return for_engine
 
 
 def test_golden_grid_is_complete(golden):
@@ -87,13 +115,19 @@ def test_golden_metadata(golden):
     assert golden["walk_blocks"] == WALK_BLOCKS
 
 
-@pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
-def test_scheme_cells_bit_identical(scheme, golden, computed):
+@pytest.mark.parametrize("scheme,engine", [
+    pytest.param(scheme, engine,
+                 id=scheme if engine == "inline" else f"{scheme}-{engine}")
+    for engine in ENGINES for scheme in GOLDEN_SCHEMES
+])
+def test_scheme_cells_bit_identical(scheme, engine, golden, computed):
+    cells = computed(engine)
     for config_name in GOLDEN_CONFIGS:
         key = f"{scheme}|{config_name}"
-        assert computed[key] == golden["cells"][key], (
-            f"SimStats drift in cell {key}: the refactor is not "
-            f"bit-identical (regen only for documented semantic changes)"
+        assert cells[key] == golden["cells"][key], (
+            f"SimStats drift in cell {key} under the {engine} engine: "
+            f"not bit-identical (regen only for documented semantic "
+            f"changes)"
         )
 
 

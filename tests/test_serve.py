@@ -2,10 +2,11 @@
 sync client, and the load-generator harness.
 
 Server tests run the ``inline`` executor lane (no worker subprocesses)
-inside a background thread's event loop; ``TestPersistentFleet`` and
-``TestFleetServedSweep`` exercise the persistent fleet end-to-end with
-real worker processes.  Everything routes through a throwaway cache so
-warm/cold behaviour is deterministic.
+inside a background thread's event loop; ``TestPersistentFleet``
+exercises the persistent fleet with real worker processes.  Everything
+routes through a throwaway cache so warm/cold behaviour is
+deterministic.  That served stats equal direct ones, on either executor
+and engine, is checked by ``tests/test_identity_matrix.py``.
 """
 
 import json
@@ -21,7 +22,7 @@ import pytest
 from repro.cache import reset_cache
 from repro.dispatch import RetryPolicy, TaskSpec
 from repro.dispatch.fleet import PersistentFleet
-from repro.experiments.runner import app_context, clear_cache
+from repro.experiments.runner import AppContext, app_context, clear_cache
 from repro.loadgen import (
     ClosedLoopEngine,
     OpenLoopEngine,
@@ -145,15 +146,6 @@ class TestWireFront:
         assert done["cached"] == done["cells"] == 2
         assert done["computed"] == 0
 
-    def test_served_stats_bit_identical_to_inline(self, server):
-        with ServeClient(server.wire) as client:
-            records = list(client.sweep(SPEC, job_id="ident"))
-        served = {r["scheme"]: r["stats"] for r in records
-                  if r["type"] == "cell"}
-        ctx = app_context("Music", WALK)
-        for scheme in ("baseline", "critic"):
-            assert served[scheme] == ctx.stats(scheme).to_dict()
-
     def test_bad_spec_rejected_with_did_you_mean(self, server):
         with ServeClient(server.wire) as client:
             with pytest.raises(ServeError, match="did you mean"):
@@ -167,13 +159,17 @@ class TestWireFront:
             with pytest.raises(ServeError, match="unknown workload"):
                 list(client.sweep({"apps": ["NotAnApp"]}))
 
-    def test_sweep_with_workload_family(self, server):
+    def test_sweep_with_workload_family(self, server, monkeypatch):
         spec = dict(SPEC, workload_family="bursty")
         with ServeClient(server.wire) as client:
             records = list(client.sweep(spec, job_id="fam-cold"))
             warm = list(client.sweep(spec, job_id="fam-warm"))[-1]
         served = {r["scheme"]: r["stats"] for r in records
                   if r["type"] == "cell"}
+        # The reference must not read back what the server stored.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        reset_cache()
+        clear_cache()
         ctx = app_context("Music", WALK, "bursty")
         for scheme in ("baseline", "critic"):
             assert served[scheme] == ctx.stats(scheme).to_dict()
@@ -353,6 +349,28 @@ class TestCoalescing:
         assert total["computed"] == 2
         assert total["cached"] + total["coalesced"] == 2
 
+    def test_cell_finished_after_the_probe_is_not_recomputed(
+            self, server, monkeypatch):
+        """A job's probe runs off the event loop: another job can finish
+        the cell (and retire its in-flight future) after the probe missed
+        but before this job claims the cell.  The cell is then in the
+        memo and must be served from it, not computed again."""
+        spec = dict(SPEC, schemes=["critic"])
+        with ServeClient(server.wire) as client:
+            list(client.sweep(spec, job_id="first"))
+            real = AppContext.cached_stats
+            # The second job's probe answers as it would have before the
+            # first job finished: a miss.
+            stale = [None]
+
+            def probe(ctx, *args, **kwargs):
+                return stale.pop() if stale else real(ctx, *args, **kwargs)
+
+            monkeypatch.setattr(AppContext, "cached_stats", probe)
+            done = list(client.sweep(spec, job_id="second"))[-1]
+        assert done["computed"] == 0
+        assert done["cached"] == done["cells"] == 1
+
     def test_done_record_carries_coalesced_field(self, server):
         with ServeClient(server.wire) as client:
             done = list(client.sweep(SPEC, job_id="solo"))[-1]
@@ -416,31 +434,6 @@ class TestPersistentFleet:
         fleet.shutdown(grace_s=15.0)
         with pytest.raises(RuntimeError):
             fleet.submit(TaskSpec(id="late", fn=_triple, args=(1,)))
-
-
-class TestFleetServedSweep:
-    def test_fleet_sweep_matches_an_uncached_reference(self, monkeypatch):
-        srv = _ServerThread(executor="fleet", workers=2, wire_port=0,
-                            http_port=0, policy=FAST)
-        try:
-            with ServeClient(srv.wire, timeout_s=120) as client:
-                records = list(client.sweep(SPEC, job_id="fleet"))
-                health = client.health()
-        finally:
-            srv.stop()
-        done = records[-1]
-        assert done["type"] == "done"
-        assert done["computed"] == 2 and done["failed"] == 0
-        assert health["workers"]["alive"] == 2
-        served = {r["scheme"]: r["stats"] for r in records
-                  if r["type"] == "cell"}
-        # The reference must not read back what the workers stored.
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        reset_cache()
-        clear_cache()
-        ctx = app_context("Music", WALK)
-        for scheme in ("baseline", "critic"):
-            assert served[scheme] == ctx.stats(scheme).to_dict()
 
 
 class TestWorkerCount:

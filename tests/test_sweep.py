@@ -213,17 +213,6 @@ class TestRunSweep:
         assert shaped_manifest["config_hash"] \
             != default_manifest["config_hash"]
 
-    def test_family_sweep_matches_direct_context(self):
-        spec = SweepSpec(apps=("Music",), schemes=("baseline", "critic"),
-                         walk_blocks=WALK, jobs=1,
-                         workload_family="phased")
-        result = run_sweep(spec)
-        from repro.experiments.runner import app_context
-        ctx = app_context("Music", WALK, "phased")
-        for scheme in ("baseline", "critic"):
-            assert result.cell("Music", scheme, "google-tablet") \
-                == ctx.stats(scheme)
-
     def test_warm_sweep_has_no_dispatch_record(self):
         spec = SweepSpec(apps=("Music",), schemes=("baseline",),
                          walk_blocks=WALK, jobs=1)

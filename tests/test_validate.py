@@ -10,6 +10,9 @@ that the validator exists to catch:
   spin toward ``1 << 62`` instead of raising.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -334,6 +337,26 @@ class TestFuzzSmoke:
         assert result.simulations > 10
         assert result.properties_checked >= 10
         assert result.ok, [r.summary() for r in result.failures]
+
+    def test_fuzz_after_an_early_scheme_lookup(self):
+        """A process whose first scheme lookup happens before the fuzzer
+        is imported still fuzzes every scheme (the runner once froze an
+        empty scheme list in that order, and the round died on
+        ``KeyError: 'critic'``)."""
+        code = (
+            "from repro.registry import SCHEME_RECIPES\n"
+            "SCHEME_RECIPES.names()\n"
+            "from repro.validate.fuzz import run_fuzz\n"
+            "result = run_fuzz(1, seed=3, walk_blocks=40, "
+            "differential=False)\n"
+            "assert result.ok, [r.summary() for r in result.failures]\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, REPRO_CACHE="0",
+                     PYTHONPATH=os.pathsep.join(p for p in sys.path if p)),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_fuzz_is_deterministic(self):
         from repro.validate.fuzz import random_profile
