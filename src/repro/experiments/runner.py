@@ -16,7 +16,9 @@ Central plumbing for every figure/table reproduction:
   the socket-broker ``fleet``, the default; selected by ``executor=`` or
   the sweep CLI's ``--executor``) sized by ``REPRO_JOBS``, and seeds
   the in-process memo with the results, so figure modules stay simple
-  serial loops;
+  serial loops; :mod:`repro.serve` plans its grids with the same
+  functions (:func:`probe_grid`, :func:`group_cells`,
+  :func:`absorb_cells`);
 * workers report their telemetry (phase timers, metrics) back with
   their results, so phase and metric totals are fleet-wide; failed
   attempts report nothing, so a retried cell is counted exactly once;
@@ -35,7 +37,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.cache import artifact_key, get_cache
@@ -258,15 +260,21 @@ class AppContext:
                      profiled_fraction: float = 1.0) -> Optional[SimStats]:
         """Look up stats in the memo/disk cache without computing them."""
         default = max_length == 5 and profiled_fraction >= 1.0
-        memo_key = (scheme, config.name)
-        if default and memo_key in self._stats:
-            return self._stats[memo_key]
+        stats = self.memoized(scheme, config.name) if default else None
+        if stats is not None:
+            return stats
         stats = get_cache().load_stats(
             self._stats_key(scheme, config, max_length, profiled_fraction)
         )
         if stats is not None and default:
-            self._stats[memo_key] = stats
+            self._stats[(scheme, config.name)] = stats
         return stats
+
+    def memoized(self, scheme: str,
+                 config_name: str) -> Optional[SimStats]:
+        """The in-process memo's stats for a default-parameter cell,
+        without a disk lookup."""
+        return self._stats.get((scheme, config_name))
 
     def stats(self, scheme: str = "baseline",
               config: CpuConfig = GOOGLE_TABLET,
@@ -345,10 +353,10 @@ def _observe_cell(name: str, scheme: str, config_name: str,
 def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
               config: CpuConfig, engine: Optional[str] = None,
               workload_family: str = "default",
-              ) -> Tuple[str, str, Dict[str, SimStats]]:
-    """Worker body: compute all ``schemes`` for one app x config cell."""
+              ) -> Tuple[str, Dict[Tuple[str, str], SimStats]]:
+    """Worker body: compute all ``schemes`` for one app x config group."""
     ctx = app_context(name, blocks, workload_family)
-    cell: Dict[str, SimStats] = {}
+    cells: Dict[Tuple[str, str], SimStats] = {}
     for scheme in schemes:
         telemetry.emit("sweep.cell.start", app=name, scheme=scheme,
                        config=config.name)
@@ -356,19 +364,15 @@ def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
         stats = ctx.stats(scheme, config, engine=engine)
         _observe_cell(name, scheme, config.name, stats,
                       time.perf_counter() - started)
-        cell[scheme] = stats
-    return name, config.name, cell
-
-
-#: Task-id suffix marking a batched (one trace x many configs) cell.
-_BATCH_TAG = "batch"
+        cells[(scheme, config.name)] = stats
+    return name, cells
 
 
 def _run_batch_cell(
     name: str, blocks: int, scheme: str, configs: Tuple[CpuConfig, ...],
     workload_family: str = "default",
-) -> Tuple[str, str, Dict[str, SimStats]]:
-    """Worker body for one batched app x scheme cell: all ``configs``
+) -> Tuple[str, Dict[Tuple[str, str], SimStats]]:
+    """Worker body for one batched app x scheme group: all ``configs``
     advance through the batch engine together (per-cell inline fallback
     happens inside :func:`repro.cpu.batch.simulate_batch`)."""
     from repro.cpu.batch import simulate_batch
@@ -383,21 +387,22 @@ def _run_batch_cell(
         all_stats = simulate_batch(trace, list(configs))
     wall = time.perf_counter() - started
     cache = get_cache()
-    cell: Dict[str, SimStats] = {}
+    cells: Dict[Tuple[str, str], SimStats] = {}
     for config, stats in zip(configs, all_stats):
         cache.store_stats(ctx._stats_key(scheme, config, 5, 1.0), stats)
-        ctx._stats[(scheme, config.name)] = stats
-        cell[config.name] = stats
+        cells[(scheme, config.name)] = stats
         _observe_cell(name, scheme, config.name, stats,
                       wall / len(configs))
-    return name, f"{scheme}|{_BATCH_TAG}", cell
+    return name, cells
 
 
 def _cell_task(*args, body=_run_cell, capture_telemetry: bool = True,
-               ) -> Tuple[str, str, Dict[str, SimStats], Optional[Dict]]:
-    """The dispatch task wrapper: run ``body(*args)`` for one cell —
-    :func:`_run_cell` (app x config) or :func:`_run_batch_cell` (app x
-    scheme over many configs).
+               ) -> Tuple[str, Dict[Tuple[str, str], SimStats],
+                          Optional[Dict]]:
+    """The dispatch task wrapper: run ``body(*args)`` for one
+    :class:`CellGroup` — :func:`_run_cell` (app x config) or
+    :func:`_run_batch_cell` (app x scheme over many configs) — and
+    return ``(app, {(scheme, config name): stats}, snapshot)``.
 
     Out-of-process attempts (``capture_telemetry=True``, the default)
     reset/snapshot telemetry and ship it back as a delta; in-parent
@@ -413,6 +418,121 @@ def _cell_task(*args, body=_run_cell, capture_telemetry: bool = True,
             return (*body(*args), None)
     telemetry.reset()
     return (*body(*args), telemetry.snapshot())
+
+
+# -- the grid plan: probe, group, run, absorb ----------------------------------
+
+
+class MissingCell(NamedTuple):
+    """One grid cell that neither the memo nor the disk cache holds."""
+
+    app: str
+    scheme: str
+    config: CpuConfig
+    #: the cell's stats artifact key (serve coalesces jobs on it)
+    key: str
+
+
+#: A cached cell: ``(app, scheme, config name, stats)``.
+CachedCell = Tuple[str, str, str, SimStats]
+
+
+def probe_grid(apps: Sequence[str], schemes: Sequence[str],
+               configs: Sequence[CpuConfig], blocks: int,
+               workload_family: str,
+               ) -> Tuple[List[CachedCell], List[MissingCell]]:
+    """Walk the memo and the disk cache once over the grid.
+
+    Returns the cached cells and the missing ones, each in app, config,
+    scheme order.  Every cached cell counts as
+    ``repro_cells_total{status="cached"}`` and emits
+    ``sweep.cell.cached``, whichever front asked.
+    """
+    cached: List[CachedCell] = []
+    missing: List[MissingCell] = []
+    for name in apps:
+        ctx = app_context(name, blocks, workload_family)
+        for config in configs:
+            for scheme in schemes:
+                stats = ctx.cached_stats(scheme, config)
+                if stats is None:
+                    missing.append(MissingCell(
+                        name, scheme, config,
+                        ctx._stats_key(scheme, config, 5, 1.0)))
+                    continue
+                cached.append((name, scheme, config.name, stats))
+                telemetry.inc("repro_cells_total",
+                              help="Sweep cells by completion status.",
+                              status="cached")
+                telemetry.emit("sweep.cell.cached", app=name,
+                               scheme=scheme, config=config.name)
+    return cached, missing
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """The missing cells one dispatch task computes.
+
+    ``args`` and ``kwargs`` call :func:`_cell_task`; :meth:`task` binds
+    them to a task body, so a caller can pass its own (traced) copy.
+    """
+
+    id: str
+    cells: Tuple[MissingCell, ...]
+    args: Tuple[object, ...]
+    kwargs: Dict[str, object] = field(default_factory=dict)
+
+    def task(self, fn, prefix: str = "") -> TaskSpec:
+        """The group as a :class:`TaskSpec` with id ``prefix + id``."""
+        return TaskSpec(id=prefix + self.id, fn=fn, args=self.args,
+                        kwargs=self.kwargs,
+                        inline_kwargs={"capture_telemetry": False})
+
+
+def group_cells(cells: Sequence[MissingCell], blocks: int, engine: str,
+                workload_family: str) -> List[CellGroup]:
+    """Group missing cells into dispatch tasks, in first-seen order.
+
+    The inline engine runs one group per app x config holding its
+    missing schemes, id ``"{app}|{config}"``.  The batch engine
+    amortizes the cycle loop across the configs of one trace, so its
+    groups run the other way: one per app x scheme holding the missing
+    configs, id ``"{app}|{scheme}|batch"``.  The ids are part of the
+    contract: a seeded ``REPRO_DISPATCH_FAULTS`` plan draws on them.
+    """
+    batch = engine == "batch"
+    buckets: Dict[Tuple[str, str], List[MissingCell]] = {}
+    for cell in cells:
+        axis = cell.scheme if batch else cell.config.name
+        buckets.setdefault((cell.app, axis), []).append(cell)
+    groups: List[CellGroup] = []
+    for (name, axis), members in buckets.items():
+        if batch:
+            groups.append(CellGroup(
+                id=f"{name}|{axis}|batch", cells=tuple(members),
+                args=(name, blocks, axis,
+                      tuple(cell.config for cell in members),
+                      workload_family),
+                kwargs={"body": _run_batch_cell}))
+        else:
+            groups.append(CellGroup(
+                id=f"{name}|{axis}", cells=tuple(members),
+                args=(name, blocks,
+                      tuple(cell.scheme for cell in members),
+                      members[0].config, engine, workload_family)))
+    return groups
+
+
+def absorb_cells(name: str, blocks: int, workload_family: str,
+                 cells: Dict[Tuple[str, str], SimStats],
+                 results: Optional[Dict[str, Dict[Tuple[str, str],
+                                                  SimStats]]] = None,
+                 ) -> None:
+    """Write one task's returned cells into the app's in-process memo,
+    and into ``results[name]`` when the caller keeps a results map."""
+    app_context(name, blocks, workload_family)._stats.update(cells)
+    if results is not None:
+        results[name].update(cells)
 
 
 #: The metric families the manifest's ``batch`` block reads.
@@ -511,6 +631,24 @@ def _run_extra(engine: str, batch_since: _Samples) -> Dict[str, object]:
     return extra
 
 
+def grid_manifest_fields(apps: Sequence[str], schemes: Sequence[str],
+                         configs: Sequence[CpuConfig], blocks: int,
+                         workload_family: str) -> Dict[str, object]:
+    """The :func:`record_run` keywords that describe one grid: every
+    front that runs a grid records it the same way."""
+    return {
+        "apps": list(apps),
+        "schemes": list(schemes),
+        "configs": [config.name for config in configs],
+        "walk_blocks": blocks,
+        "seeds": {name: app_context(name, blocks, workload_family)
+                  .app_profile.seed for name in apps},
+        "components": {config.name: component_identity(config)
+                       for config in configs},
+        "workload_family": WORKLOAD_FAMILIES.identity(workload_family),
+    }
+
+
 def run_apps(apps: Sequence[str],
              schemes: Sequence[str] = ("baseline",),
              jobs: Optional[int] = None,
@@ -559,20 +697,10 @@ def run_apps(apps: Sequence[str],
                         schemes=",".join(schemes)):
         results = _run_apps_grid(apps, schemes, jobs, configs, blocks,
                                  executor, engine_name, family)
-    record_run(
-        "run_apps",
-        apps=list(apps),
-        schemes=list(schemes),
-        configs=[config.name for config in configs],
-        walk_blocks=blocks,
-        seeds={name: app_context(name, blocks, family).app_profile.seed
-               for name in apps},
-        wall_s=time.perf_counter() - started,
-        components={config.name: component_identity(config)
-                    for config in configs},
-        workload_family=WORKLOAD_FAMILIES.identity(family),
-        extra=_run_extra(engine_name, batch_since),
-    )
+    record_run("run_apps", wall_s=time.perf_counter() - started,
+               extra=_run_extra(engine_name, batch_since),
+               **grid_manifest_fields(apps, schemes, configs, blocks,
+                                      family))
     return results
 
 
@@ -591,33 +719,19 @@ def _run_apps_grid(
     results: Dict[str, Dict[Tuple[str, str], SimStats]] = {
         name: {} for name in apps
     }
-    todo: List[Tuple[str, CpuConfig, Tuple[str, ...]]] = []
     with telemetry.phase("run_apps.probe"):
-        for name in apps:
-            ctx = app_context(name, blocks, workload_family)
-            for config in configs:
-                missing = []
-                for scheme in schemes:
-                    stats = ctx.cached_stats(scheme, config)
-                    if stats is None:
-                        missing.append(scheme)
-                    else:
-                        results[name][(scheme, config.name)] = stats
-                        telemetry.inc(
-                            "repro_cells_total",
-                            help="Sweep cells by completion status.",
-                            status="cached",
-                        )
-                        telemetry.emit("sweep.cell.cached", app=name,
-                                       scheme=scheme, config=config.name)
-                if missing:
-                    todo.append((name, config, tuple(missing)))
+        cached, missing = probe_grid(apps, schemes, configs, blocks,
+                                     workload_family)
+    for name, scheme, config_name, stats in cached:
+        results[name][(scheme, config_name)] = stats
 
     _last_report = None
-    if not todo:
+    if not missing:
         return results
+    tasks = [group.task(_cell_task) for group in
+             group_cells(missing, blocks, engine, workload_family)]
     workers = jobs if jobs is not None else default_jobs()
-    workers = min(max(1, workers), len(todo))
+    workers = min(max(1, workers), len(tasks))
 
     backend = (executor or "").strip() or "fleet"
     EXECUTORS.entry(backend)  # unknown names fail loudly, did-you-mean
@@ -627,44 +741,6 @@ def _run_apps_grid(
         # which backend the caller asked for.
         backend = "inline"
 
-    def _absorb(name: str, config_name: str,
-                cell: Dict[str, SimStats]) -> None:
-        ctx = app_context(name, blocks, workload_family)
-        for scheme, stats in cell.items():
-            results[name][(scheme, config_name)] = stats
-            ctx._stats[(scheme, config_name)] = stats
-
-    if engine == "batch":
-        # The batch engine amortizes the cycle loop across configs of one
-        # trace, so the task axis flips: one task per app x scheme cell
-        # covering every config still missing it (the engine handles
-        # per-config inline fallbacks internally).
-        grouped: Dict[Tuple[str, str], List[CpuConfig]] = {}
-        for name, config, missing in todo:
-            for scheme in missing:
-                grouped.setdefault((name, scheme), []).append(config)
-        tasks = [
-            TaskSpec(
-                id=f"{name}|{scheme}|{_BATCH_TAG}",
-                fn=_cell_task,
-                args=(name, blocks, scheme, tuple(batch_configs),
-                      workload_family),
-                kwargs={"body": _run_batch_cell},
-                inline_kwargs={"capture_telemetry": False},
-            )
-            for (name, scheme), batch_configs in grouped.items()
-        ]
-    else:
-        tasks = [
-            TaskSpec(
-                id=f"{name}|{config.name}",
-                fn=_cell_task,
-                args=(name, blocks, missing, config, engine,
-                      workload_family),
-                inline_kwargs={"capture_telemetry": False},
-            )
-            for name, config, missing in todo
-        ]
     exec_obj = EXECUTORS.create(
         backend, jobs=workers, policy=RetryPolicy.from_env(),
     )
@@ -680,22 +756,12 @@ def _run_apps_grid(
     finally:
         exec_obj.shutdown()
 
-    batch_suffix = f"|{_BATCH_TAG}"
     for result in task_results:
         if result.ok:
-            name, tag, cell, snap = result.value
+            name, cells, snap = result.value
             if snap is not None:
                 telemetry.merge_snapshot(snap)
-            if tag.endswith(batch_suffix):
-                # Batched cell: tag is "<scheme>|batch" and the payload
-                # maps config names (not schemes) to stats.
-                scheme = tag[: -len(batch_suffix)]
-                ctx = app_context(name, blocks, workload_family)
-                for config_name, stats in cell.items():
-                    results[name][(scheme, config_name)] = stats
-                    ctx._stats[(scheme, config_name)] = stats
-            else:
-                _absorb(name, tag, cell)
+            absorb_cells(name, blocks, workload_family, cells, results)
 
     _last_report = DispatchReport(
         executor=EXECUTORS.identity(backend),

@@ -38,9 +38,9 @@ from repro.experiments.runner import (
     DEFAULT_WALK_BLOCKS,
     _batch_samples,
     _run_extra,
-    app_context,
     format_table,
     geometric_mean,
+    grid_manifest_fields,
     run_apps,
 )
 from repro.registry import (
@@ -53,7 +53,6 @@ from repro.registry import (
     SIMULATORS,
     WORKLOAD_FAMILIES,
     all_registries,
-    component_identity,
 )
 from repro.telemetry import span
 from repro.telemetry.manifest import record_run
@@ -246,21 +245,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         )
     blocks = spec.walk_blocks if spec.walk_blocks is not None \
         else DEFAULT_WALK_BLOCKS
-    family = spec.workload_family or "default"
-    record_run(
-        "sweep",
-        apps=list(spec.apps),
-        schemes=list(spec.schemes),
-        configs=[config.name for config in configs],
-        walk_blocks=blocks,
-        seeds={name: app_context(name, blocks, family).app_profile.seed
-               for name in spec.apps},
-        wall_s=time.perf_counter() - started,
-        components={config.name: component_identity(config)
-                    for config in configs},
-        workload_family=WORKLOAD_FAMILIES.identity(family),
-        extra=_run_extra(resolve_engine(spec.engine), batch_since),
-    )
+    record_run("sweep", wall_s=time.perf_counter() - started,
+               extra=_run_extra(resolve_engine(spec.engine), batch_since),
+               **grid_manifest_fields(spec.apps, spec.schemes, configs,
+                                      blocks,
+                                      spec.workload_family or "default"))
     return SweepResult(spec=spec, configs=configs, grid=grid)
 
 

@@ -13,10 +13,13 @@ One :class:`ServeServer` owns:
   cache, fans cold cells out to the fleet, and streams every cell back
   the moment it completes.
 
-Cells run through the exact same
-:func:`repro.experiments.runner._cell_task` body the batch sweep engine
-uses, so a served grid is bit-identical to an inline sweep of the same
-spec — the acceptance gate the loadgen asserts.
+A job plans its grid with the functions ``run_apps`` uses
+(:mod:`repro.experiments.runner`): ``probe_grid`` splits it into cached
+and missing cells, ``group_cells`` turns the missing cells the job owns
+into ``_cell_task`` tasks, and ``absorb_cells`` memoizes what comes
+back; the ``inline`` lane runs each task as one ``run_attempt``, as the
+inline executor does.  So a served grid is bit-identical to a direct
+sweep of the same spec, and fails with the same errors.
 
 Hardening layered on top:
 
@@ -47,19 +50,21 @@ from repro.cache import get_cache
 from repro.cpu import CpuConfig
 from repro.cpu.engines import resolve_engine
 from repro.dispatch import RetryPolicy, TaskResult, TaskSpec
+from repro.dispatch.base import observe_attempt
 from repro.dispatch.fleet import PersistentFleet
+from repro.dispatch.watchdog import run_attempt
 from repro.experiments.runner import (
     DEFAULT_WALK_BLOCKS,
+    MissingCell,
     _cell_task,
+    absorb_cells,
     app_context,
+    grid_manifest_fields,
+    group_cells,
+    probe_grid,
 )
 from repro.experiments.sweep import SweepSpec
-from repro.registry import (
-    SIMULATORS,
-    WORKLOAD_FAMILIES,
-    all_registries,
-    component_identity,
-)
+from repro.registry import SIMULATORS, all_registries
 from repro.workloads import get_profile
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -404,31 +409,10 @@ class ServeServer:
         engine = resolve_engine(spec.engine)
         family = spec.workload_family or "default"
         # Probe the warm path first: memo + disk cache, no fleet.
-        todo: List[Tuple[str, CpuConfig, Tuple[str, ...],
-                         Dict[str, str]]] = []
-        cached: List[Tuple[str, str, str, Any]] = []
         probe_started = time.perf_counter()
-
-        def _probe() -> None:
-            for name in spec.apps:
-                ctx = app_context(name, job.blocks, family)
-                for config in job.configs:
-                    missing = []
-                    keys: Dict[str, str] = {}
-                    for scheme in spec.schemes:
-                        stats = ctx.cached_stats(scheme, config)
-                        if stats is None:
-                            missing.append(scheme)
-                            keys[scheme] = ctx._stats_key(
-                                scheme, config, 5, 1.0)
-                        else:
-                            cached.append((name, scheme, config.name,
-                                           stats))
-                    if missing:
-                        todo.append((name, config, tuple(missing),
-                                     keys))
-
-        await asyncio.to_thread(_probe)
+        cached, missing = await asyncio.to_thread(
+            probe_grid, spec.apps, spec.schemes, job.configs, job.blocks,
+            family)
         probe_wall = time.perf_counter() - probe_started
         total = len(spec.apps) * len(spec.schemes) * len(job.configs)
         yield {"type": "accepted", "id": job.client_id, "job": job.id,
@@ -438,7 +422,7 @@ class ServeServer:
             yield self._cell_record(job, name, scheme, config_name,
                                     cached=True, wall_s=per_cell,
                                     stats=stats)
-        if not todo:
+        if not missing:
             return
 
         # Partition cold cells: cells some other job is already
@@ -450,116 +434,74 @@ class ServeServer:
         # then has no future any more but is in the memo (set before
         # the future is retired): it is served as cached.
         loop = asyncio.get_running_loop()
-        subscribe: List[Tuple[str, str, str,
-                              "asyncio.Future[Any]"]] = []
-        compute: List[Tuple[str, CpuConfig, Tuple[str, ...],
-                            Dict[str, str]]] = []
-        finished: List[Tuple[str, str, str, Any]] = []
-        for name, config, missing, keys in todo:
-            memo = app_context(name, job.blocks, family)._stats
-            own = []
-            for scheme in missing:
-                fut = self._inflight.get(keys[scheme])
-                if fut is None and (scheme, config.name) in memo:
-                    finished.append((name, scheme, config.name,
-                                     memo[(scheme, config.name)]))
-                elif fut is not None:
-                    subscribe.append((name, scheme, config.name, fut))
-                    telemetry.inc("repro_serve_coalesced_total",
-                                  help="Cold cells answered by "
-                                       "subscribing to another job's "
-                                       "in-flight computation.")
-                    telemetry.emit("serve.cell.coalesced", job=job.id,
-                                   app=name, scheme=scheme,
-                                   config=config.name)
-                else:
-                    self._inflight[keys[scheme]] = loop.create_future()
-                    job.owned_keys.add(keys[scheme])
-                    own.append(scheme)
-            if own:
-                compute.append((name, config, tuple(own), keys))
-
-        tasks = [
-            TaskSpec(
-                id=f"{job.id}|{name}|{config.name}",
-                fn=_cell_task,
-                args=(name, job.blocks, missing, config, engine,
-                      family),
-                inline_kwargs={"capture_telemetry": False},
-            )
-            for name, config, missing, _keys in compute
-        ]
-        job.pending = {task.id for task in tasks}
-        by_id = {task.id: task for task in tasks}
-        keys_by_task = {
-            f"{job.id}|{name}|{config.name}": keys
-            for name, config, _missing, keys in compute
-        }
-        for index, (name, scheme, config_name, fut) in \
-                enumerate(subscribe):
-            sub_id = f"{job.id}|sub{index}"
-            job.pending.add(sub_id)
-            asyncio.ensure_future(self._await_coalesced(
-                job, sub_id, name, scheme, config_name, fut))
-        try:
-            for name, scheme, config_name, stats in finished:
-                yield self._cell_record(job, name, scheme, config_name,
-                                        cached=True, wall_s=0.0,
-                                        stats=stats)
-            if self.fleet is not None:
-                for task in tasks:
-                    await asyncio.to_thread(self.fleet.submit, task)
+        own: List[MissingCell] = []
+        finished: List[Tuple[MissingCell, Any]] = []
+        for index, cell in enumerate(missing):
+            fut = self._inflight.get(cell.key)
+            stats = None if fut is not None else app_context(
+                cell.app, job.blocks, family).memoized(
+                    cell.scheme, cell.config.name)
+            if stats is not None:
+                finished.append((cell, stats))
+            elif fut is not None:
+                telemetry.inc("repro_serve_coalesced_total",
+                              help="Cold cells answered by subscribing "
+                                   "to another job's in-flight "
+                                   "computation.")
+                telemetry.emit("serve.cell.coalesced", job=job.id,
+                               app=cell.app, scheme=cell.scheme,
+                               config=cell.config.name)
+                sub_id = f"{job.id}|sub{index}"
+                job.pending.add(sub_id)
+                asyncio.ensure_future(self._await_coalesced(
+                    job, sub_id, cell, fut))
             else:
-                for task in tasks:
+                self._inflight[cell.key] = loop.create_future()
+                job.owned_keys.add(cell.key)
+                own.append(cell)
+
+        prefix = f"{job.id}|"
+        groups = {prefix + group.id: group for group in
+                  group_cells(own, job.blocks, engine, family)}
+        job.pending.update(groups)
+        try:
+            for cell, stats in finished:
+                yield self._cell_record(job, cell.app, cell.scheme,
+                                        cell.config.name, cached=True,
+                                        wall_s=0.0, stats=stats)
+            for group in groups.values():
+                task = group.task(_cell_task, prefix)
+                if self.fleet is not None:
+                    await asyncio.to_thread(self.fleet.submit, task)
+                else:
                     asyncio.create_task(self._run_task_inline(job, task))
             while job.pending:
                 item = await job.queue.get()
                 if isinstance(item, tuple):  # a coalesced cell resolved
-                    sub_id, name, scheme, config_name, outcome = item
+                    sub_id, cell, outcome = item
                     job.pending.discard(sub_id)
-                    if outcome[0] == "ok":
-                        yield self._cell_record(
-                            job, name, scheme, config_name,
-                            cached=False, coalesced=True,
-                            wall_s=outcome[2], stats=outcome[1])
-                    else:
-                        yield self._cell_record(
-                            job, name, scheme, config_name,
-                            cached=False, coalesced=True, wall_s=0.0,
-                            error=outcome[1])
+                    yield self._outcome_record(job, cell, outcome,
+                                               coalesced=True)
                     continue
-                result = item
-                job.pending.discard(result.task_id)
-                _jid, name, config_name = result.task_id.split("|", 2)
-                task_keys = keys_by_task.get(result.task_id, {})
-                if result.ok:
-                    app, tag, cell, snap = result.value
+                job.pending.discard(item.task_id)
+                group = groups[item.task_id]
+                if item.ok:
+                    name, cells, snap = item.value
                     if snap is not None:
                         telemetry.merge_snapshot(snap)
-                    wall = sum(a.wall_s for a in result.attempts
-                               if a.outcome == "ok")
-                    ctx = app_context(app, job.blocks, family)
-                    for scheme, stats in cell.items():
-                        ctx._stats[(scheme, tag)] = stats
-                        per_scheme = wall / max(1, len(cell))
-                        self._resolve_inflight(
-                            job, task_keys.get(scheme),
-                            ("ok", stats, per_scheme))
-                        yield self._cell_record(
-                            job, app, scheme, tag, cached=False,
-                            wall_s=per_scheme,
-                            stats=stats)
+                    absorb_cells(name, job.blocks, family, cells)
+                    wall = sum(a.wall_s for a in item.attempts
+                               if a.outcome == "ok") / len(group.cells)
+                    outcomes = [("ok", cells[(cell.scheme,
+                                              cell.config.name)], wall)
+                                for cell in group.cells]
                 else:
-                    error = result.error or repr(result.error_exc)
-                    wall = sum(a.wall_s for a in result.attempts)
-                    for scheme in by_id[result.task_id].args[2]:
-                        self._resolve_inflight(
-                            job, task_keys.get(scheme),
-                            ("error", str(error)))
-                        yield self._cell_record(
-                            job, name, scheme, config_name,
-                            cached=False, wall_s=wall,
-                            error=str(error))
+                    error = str(item.error or repr(item.error_exc))
+                    wall = sum(a.wall_s for a in item.attempts)
+                    outcomes = [("error", error, wall)] * len(group.cells)
+                for cell, outcome in zip(group.cells, outcomes):
+                    self._resolve_inflight(job, cell.key, outcome)
+                    yield self._outcome_record(job, cell, outcome)
         finally:
             # Whatever this job still owns resolves as an error so
             # subscribers never hang on a job that died mid-stream.
@@ -567,54 +509,56 @@ class ServeServer:
                 self._resolve_inflight(
                     job, key,
                     ("error", "the computing job ended before this "
-                              "cell resolved"))
+                              "cell resolved", 0.0))
 
-    def _resolve_inflight(self, job: _Job, key: Optional[str],
-                          outcome: Tuple[Any, ...]) -> None:
+    def _outcome_record(self, job: _Job, cell: MissingCell,
+                        outcome: Tuple[str, Any, float],
+                        coalesced: bool = False) -> Dict[str, Any]:
+        """The cell record of a computed (or coalesced) cell's
+        ``("ok", stats, wall_s)`` or ``("error", message, wall_s)``."""
+        status, value, wall = outcome
+        ok = status == "ok"
+        return self._cell_record(job, cell.app, cell.scheme,
+                                 cell.config.name, cached=False,
+                                 coalesced=coalesced, wall_s=wall,
+                                 stats=value if ok else None,
+                                 error=None if ok else value)
+
+    def _resolve_inflight(self, job: _Job, key: str,
+                          outcome: Tuple[str, Any, float]) -> None:
         """Resolve (and retire) an in-flight cell future this job owns."""
-        if key is None or key not in job.owned_keys:
+        if key not in job.owned_keys:
             return
         job.owned_keys.discard(key)
         fut = self._inflight.pop(key, None)
         if fut is not None and not fut.done():
             fut.set_result(outcome)
 
-    async def _await_coalesced(self, job: _Job, sub_id: str, name: str,
-                               scheme: str, config_name: str,
+    async def _await_coalesced(self, job: _Job, sub_id: str,
+                               cell: MissingCell,
                                fut: "asyncio.Future[Any]") -> None:
         """Feed another job's cell outcome into this job's queue."""
         try:
             outcome = await asyncio.shield(fut)
         except asyncio.CancelledError:
             outcome = ("error", "the in-flight computation was "
-                                "cancelled")
-        job.queue.put_nowait((sub_id, name, scheme, config_name,
-                              outcome))
+                                "cancelled", 0.0)
+        job.queue.put_nowait((sub_id, cell, outcome))
 
     async def _run_task_inline(self, job: _Job, task: TaskSpec) -> None:
-        """The ``executor="inline"`` lane: one cell at a time in a
-        worker thread of this process, live telemetry, same quarantine-
-        path task body the executors use."""
-        from repro.dispatch.base import Attempt
-
+        """The ``executor="inline"`` lane: one task at a time in a
+        worker thread of this process, with live telemetry, as one
+        in-parent attempt of the inline executor."""
         result = TaskResult(task_id=task.id)
         async with self._inline_lock:
-            started = time.perf_counter()
-            try:
-                value = await asyncio.to_thread(task.run_inline)
-                result.value = value
-                outcome, error = "ok", None
-            except Exception as exc:  # structured per-cell failure
-                outcome, error = "error", f"{type(exc).__name__}: {exc}"
-                result.error = error
-                result.error_exc = exc
-            attempt = Attempt(index=1, worker="serve-inline",
-                              outcome=outcome,
-                              wall_s=time.perf_counter() - started,
-                              error=error)
+            attempt, result.value, exc = await asyncio.to_thread(
+                run_attempt, task, 1, "serve-inline",
+                task.effective_timeout(self.policy))
         result.attempts.append(attempt)
-        from repro.dispatch.base import observe_attempt
         observe_attempt(task.id, attempt)
+        if exc is not None:
+            result.error = f"{type(exc).__name__}: {exc}"
+            result.error_exc = exc
         job.queue.put_nowait(result)
 
     def _record_manifest(self, job: _Job, wall: float) -> None:
@@ -624,22 +568,12 @@ class ServeServer:
         try:
             from repro.telemetry.manifest import record_run
 
-            family = job.spec.workload_family or "default"
+            spec = job.spec
             record_run(
-                "serve",
-                apps=list(job.spec.apps),
-                schemes=list(job.spec.schemes),
-                configs=[c.name for c in job.configs],
-                walk_blocks=job.blocks,
-                seeds={name: app_context(name, job.blocks, family)
-                       .app_profile.seed for name in job.spec.apps},
-                wall_s=wall,
-                components={c.name: component_identity(c)
-                            for c in job.configs},
-                workload_family=WORKLOAD_FAMILIES.identity(family),
+                "serve", wall_s=wall,
                 extra={
                     "engine": SIMULATORS.identity(
-                        resolve_engine(job.spec.engine)),
+                        resolve_engine(spec.engine)),
                     "serve": {
                         "job": job.id, "front": job.front,
                         "executor": self.executor,
@@ -647,7 +581,9 @@ class ServeServer:
                         "failed": job.failed,
                     },
                 },
-            )
+                **grid_manifest_fields(spec.apps, spec.schemes,
+                                       job.configs, job.blocks,
+                                       spec.workload_family or "default"))
         except OSError:
             pass
 

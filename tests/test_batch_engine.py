@@ -321,6 +321,17 @@ class TestEngineSelection:
         with pytest.raises(RegistryError, match="batch"):
             simulate(trace, GOOGLE_TABLET, engine="bacth")
 
+    def test_batch_fleet_is_sized_by_its_tasks(self):
+        """Batch tasks run per app x scheme: two schemes on one config
+        are two tasks, so two jobs get a two-worker fleet."""
+        runner.run_apps(["Music"], ("baseline", "critic"), jobs=2,
+                        configs=(GOOGLE_TABLET,), walk_blocks=60,
+                        engine="batch", executor="fleet")
+        report = runner.last_dispatch_report()
+        assert (report.executor, report.workers) == ("fleet@1", 2)
+        assert [result.task_id for result in report.results] == \
+            ["Music|baseline|batch", "Music|critic|batch"]
+
 
 class TestNumpyDependency:
     def test_missing_numpy_names_the_engine(self, monkeypatch):

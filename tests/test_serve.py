@@ -378,6 +378,56 @@ class TestCoalescing:
         assert done["computed"] == 2
 
 
+class TestGridPlan:
+    """Served jobs plan, group and run cells with the runner's code."""
+
+    def test_served_batch_sweep_groups_like_a_direct_one(
+            self, server, tmp_path, monkeypatch):
+        import repro.telemetry as telemetry
+        from repro.experiments.sweep import SweepSpec, run_sweep
+
+        spec = {"apps": ["Music"], "schemes": ["baseline"],
+                "configs": ["google-tablet", "2xFD", "4xI$", "EFetch"],
+                "walk_blocks": WALK, "engine": "batch"}
+
+        def groups():
+            return sum(telemetry.metrics.REGISTRY.counters_flat(
+                "repro_batch_groups_total").values())
+
+        with ServeClient(server.wire) as client:
+            done = list(client.sweep(spec))[-1]
+        assert done["computed"] == 4
+        served = groups()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "direct"))
+        reset_cache()
+        clear_cache()
+        telemetry.reset()
+        run_sweep(SweepSpec.from_dict(dict(spec, jobs=1)))
+        assert served == groups() == 1
+
+    @pytest.mark.parametrize("engine", ["inline", "batch"])
+    def test_served_deadlock_fails_its_group_and_names_it(
+            self, server, monkeypatch, engine):
+        from repro.cpu.pipeline import PipelineDeadlockError
+
+        def stuck(ctx, *args, **kwargs):
+            raise PipelineDeadlockError("stuck at cycle 7")
+
+        monkeypatch.setattr(AppContext, "scheme_trace", stuck)
+        spec = dict(SPEC, schemes=["baseline"],
+                    configs=["google-tablet", "2xFD"], engine=engine)
+        with ServeClient(server.wire) as client:
+            records = list(client.sweep(spec))
+        job = records[0]["job"]
+        cells = [r for r in records if r["type"] == "cell"]
+        assert len(cells) == records[-1]["failed"] == 2
+        for cell in cells:
+            group = "Music|baseline|batch" if engine == "batch" \
+                else f"Music|{cell['config']}"
+            assert "CellDeadlockError" in cell["error"]
+            assert f"'{job}|{group}'" in cell["error"]
+
+
 class TestDrain:
     def test_shutdown_message_drains_and_rejects_new_jobs(self):
         srv = _ServerThread(executor="inline", wire_port=0, http_port=0)
