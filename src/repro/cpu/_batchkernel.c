@@ -3,11 +3,11 @@
  * profiles.
  *
  * Compiled on demand by repro.cpu._batchkernel.get_kernel() with the
- * system C compiler (cc -O2 -shared -fPIC) and loaded via ctypes.  The
- * inline simulator is its reference: the golden-stats gate, run under
- * both engines, and the identity matrix (tests/test_identity_matrix.py)
- * require bit-identical SimStats.  Without a compiler the batch engine runs
- * every cell inline instead.
+ * system C compiler (flags: _batchkernel._CFLAGS) and loaded via
+ * ctypes.  The inline simulator is its reference: the golden-stats
+ * gate, run under both engines, and the identity matrix
+ * (tests/test_identity_matrix.py) require bit-identical SimStats.
+ * Without a compiler the batch engine runs every cell inline instead.
  *
  * Memory model.  The d-cache is simulated here in full (runtime-ordered
  * LRU).  Of the shared L2, only the over-subscribed sets -- those that

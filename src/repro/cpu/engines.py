@@ -6,21 +6,26 @@ observational kwargs) and returns :class:`~repro.cpu.stats.SimStats`.
 Engines are bit-identical by contract — they differ only in *how* the
 numbers are computed:
 
+``batch`` (the default)
+    The lockstep many-cells-per-trace engine (:mod:`repro.cpu.batch`).
+    Requires numpy; builds per-trace numpy columns and branch/memory
+    profiles and steps the cycle loop in a compiled C kernel, falling
+    back per cell to ``inline`` whenever a cell is not vectorizable (a
+    load-observing prefetcher, the flight recorder, ``max_cycles``, a
+    cold start) or no C compiler is available.
+
 ``inline``
     The reference pure-Python cycle loop
     (:class:`repro.cpu.pipeline.Simulator`).  No dependencies beyond the
-    stdlib; always available.
-
-``batch``
-    The lockstep many-cells-per-trace engine (:mod:`repro.cpu.batch`).
-    Requires numpy; precomputes branch/memory profiles and steps the
-    cycle loop in a compiled kernel, falling back per-cell to ``inline``
-    whenever a cell is not vectorizable or no C compiler is available.
+    stdlib; always available.  Checks of the Python loop itself name it.
 
 A caller picks one by name (``simulate(..., engine=)``, ``run_apps``,
-the sweep CLI's ``--engine``); naming none means ``inline``, resolved
-by :func:`resolve_engine` alone.  Factories take no arguments and return
-the engine callable, so ``SIMULATORS.create(name)`` is the whole lookup.
+the sweep CLI's ``--engine``); naming none means ``batch``, resolved
+by :func:`resolve_engine` alone.  Resolving a name imports nothing:
+numpy and :mod:`repro.cpu.batch` load when the first batch cell runs,
+and the kernel is compiled then, or when kernel cells are first handed
+to fleet workers.  Factories take no arguments and return the engine
+callable, so ``SIMULATORS.create(name)`` is the whole lookup.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ from repro.registry import SIMULATORS
 
 
 def resolve_engine(name: Optional[str]) -> str:
-    """The engine a run uses: ``name``, or ``inline`` when none is given.
+    """The engine a run uses: ``name``, or ``batch`` when none is given.
 
     Unknown names fail loudly with the registry's did-you-mean hint.
     """
-    resolved = (name or "").strip() or "inline"
+    resolved = (name or "").strip() or "batch"
     SIMULATORS.entry(resolved)
     return resolved
 

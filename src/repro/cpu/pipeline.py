@@ -121,6 +121,32 @@ def _observes(prefetcher, method: str) -> bool:
     return impl is not None and impl is not getattr(PrefetcherBase, method)
 
 
+def _static_facts(instr) -> tuple:
+    """The per-entry facts the cycle loop reads, resolved for one static
+    instruction: ``(size, latency, FU index, is_load, is_store, is_cdp,
+    branch type, predicted)``; both engines broadcast them over the
+    instruction's dynamic occurrences."""
+    kind = instr.kind
+    br = _BR_NONE
+    pred = False
+    if kind is InstrKind.BRANCH:
+        op = instr.opcode
+        if _is_switch_branch(instr):
+            br = _BR_SWITCH
+        elif op is Opcode.BL:
+            br = _BR_CALL
+        elif op is Opcode.BX:
+            br = _BR_RETURN
+        else:
+            br = _BR_OTHER
+            pred = instr.cond.is_predicated
+    return (
+        instr.size_bytes, instr.latency, _FU_INDEX[_FU_OF[kind]],
+        instr.is_load, instr.is_store,
+        instr.opcode is Opcode.CDP, br, pred,
+    )
+
+
 class _TraceTables:
     """Flat per-entry arrays + dependence maps for one trace.
 
@@ -167,25 +193,7 @@ class _TraceTables:
             instr = entry.instr
             info = info_get(id(instr))
             if info is None:
-                kind = instr.kind
-                br = _BR_NONE
-                pred = False
-                if kind is InstrKind.BRANCH:
-                    op = instr.opcode
-                    if _is_switch_branch(instr):
-                        br = _BR_SWITCH
-                    elif op is Opcode.BL:
-                        br = _BR_CALL
-                    elif op is Opcode.BX:
-                        br = _BR_RETURN
-                    else:
-                        br = _BR_OTHER
-                        pred = instr.cond.is_predicated
-                info = (
-                    instr.size_bytes, instr.latency, _FU_INDEX[_FU_OF[kind]],
-                    instr.is_load, instr.is_store,
-                    instr.opcode is Opcode.CDP, br, pred,
-                )
+                info = _static_facts(instr)
                 static_info[id(instr)] = info
             sizes[pos] = info[0]
             lats[pos] = info[1]
@@ -972,7 +980,9 @@ def simulate(
 
     ``engine`` selects the simulation engine from the
     :data:`repro.registry.SIMULATORS` registry (``None`` means
-    ``inline``).  Engines are bit-identical; see
+    ``batch``, which runs the cell on the C kernel or, when it cannot,
+    on this module's :class:`Simulator`; pass ``engine="inline"`` to run
+    the Python loop itself).  Engines are bit-identical; see
     :mod:`repro.cpu.engines`.
     """
     resolved = resolve_engine(engine)

@@ -6,16 +6,8 @@ a ``format_*`` helper that renders the same rows/series the paper reports.
 cover Tables I and II.
 """
 
-from repro.experiments import (  # noqa: F401
-    fig01,
-    fig03,
-    fig05,
-    fig08,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-)
+import importlib
+
 from repro.experiments.runner import (
     AppContext,
     DEFAULT_WALK_BLOCKS,
@@ -45,3 +37,15 @@ __all__ = [
     "geometric_mean",
     "run_apps",
 ]
+
+#: The figure modules load on first access (``repro.experiments.fig10``
+#: or ``from repro.experiments import fig10``): a fleet worker or a sweep
+#: that only runs cells never imports them.
+_FIGURES = ("fig01", "fig03", "fig05", "fig08", "fig10", "fig11", "fig12",
+            "fig13")
+
+
+def __getattr__(name: str):
+    if name in _FIGURES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

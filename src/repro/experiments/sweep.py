@@ -80,7 +80,7 @@ class SweepSpec:
     #: for one job)
     executor: Optional[str] = None
     #: simulation engine, by :data:`~repro.registry.SIMULATORS` name
-    #: (``None`` means ``inline``); engines are bit-identical, so this
+    #: (``None`` means ``batch``); engines are bit-identical, so this
     #: changes wall time, never numbers
     engine: Optional[str] = None
     #: workload family (scenario generator), by
@@ -317,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default fleet; one job always runs "
                              "inline)")
     parser.add_argument("--engine", default=None, metavar="NAME",
-                        help="simulation engine: inline or batch "
-                             "(default inline; bit-identical results "
-                             "either way)")
+                        help="simulation engine: batch or inline "
+                             "(default batch, the C kernel with a "
+                             "per-cell inline fallback; bit-identical "
+                             "results either way)")
     parser.add_argument("--workload-family", default=None, metavar="NAME",
                         help="workload family (scenario generator): "
                              "default, phased, bursty, zipfian-footprint, "

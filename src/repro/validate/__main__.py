@@ -36,7 +36,7 @@ def _validate_app(name: str, walk_blocks: int) -> List[ValidationReport]:
     configs = [GOOGLE_TABLET] + [make() for make in
                                  HARDWARE_VARIANTS.values()]
     for config in configs:
-        simulate(trace, config, validator=validator)
+        simulate(trace, config, validator=validator, engine="inline")
     reports = list(validator.reports)
     reports.append(differential_check(trace, GOOGLE_TABLET))
     return reports

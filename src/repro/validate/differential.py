@@ -43,7 +43,7 @@ def differential_check(
     if ooo_stats is None:
         ooo_stats = simulate(trace, config,
                              critical_positions=critical_positions,
-                             validate=False)
+                             validate=False, engine="inline")
     ref = reference_run(trace, config)
     _compare(report, trace, ooo_stats, ref)
     return report

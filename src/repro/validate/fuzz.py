@@ -156,7 +156,8 @@ def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
 
     def run(trace, config: CpuConfig) -> SimStats:
         result.simulations += 1
-        return simulate(trace, config, validator=validator)
+        return simulate(trace, config, validator=validator,
+                        engine="inline")
 
     baseline = ctx.trace()
     traces = {scheme: ctx.scheme_trace(scheme)
@@ -323,7 +324,7 @@ def family_metamorphic(rng: random.Random, result: FuzzResult,
 
     def run(trace, config: CpuConfig) -> SimStats:
         result.simulations += 1
-        return simulate(trace, config)
+        return simulate(trace, config, engine="inline")
 
     for family in WORKLOAD_FAMILIES.names():
         if family == "trace-replay":

@@ -1,7 +1,10 @@
 """Tests for the cycle-level pipeline simulator."""
 
+from functools import partial
+
 import pytest
 
+from repro.cpu import simulate as _simulate
 from repro.cpu import (
     CpuConfig,
     GOOGLE_TABLET,
@@ -9,12 +12,15 @@ from repro.cpu import (
     Simulator,
     config_2xfd,
     config_perfect_br,
-    simulate,
     speedup,
 )
 from repro.isa import Cond, Encoding, Instruction, Opcode
 from repro.trace import BasicBlock, Program, materialize
 from repro.workloads import generate, get_profile
+
+#: These tests check the Python cycle loop itself (the batch engine's
+#: reference), so they name it rather than take the default engine.
+simulate = partial(_simulate, engine="inline")
 
 
 def alu(dest, *srcs, imm=None):

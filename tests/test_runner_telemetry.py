@@ -278,7 +278,7 @@ class TestCellDeadline:
             with pytest.raises(CellTimeoutError,
                                match="Music.google-tablet") as excinfo:
                 run_apps(("Music",), ("sleep-forever",), jobs=1,
-                         walk_blocks=WALK)
+                         walk_blocks=WALK, engine="inline")
         assert excinfo.value.task_id == "Music|google-tablet"
         report = last_dispatch_report()
         assert report.to_dict()["timeouts"] >= 1

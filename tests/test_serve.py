@@ -405,6 +405,39 @@ class TestGridPlan:
         run_sweep(SweepSpec.from_dict(dict(spec, jobs=1)))
         assert served == groups() == 1
 
+    def test_served_manifest_names_its_own_batch_path(self, server):
+        """A served job's manifest carries the ``batch`` block of the
+        groups it ran itself (here the default engine's one kernel
+        group, with one load-observing fallback) and the ``dispatch``
+        block of its tasks; a later job served from the cache ran
+        neither."""
+        from repro.telemetry.manifest import (
+            LAST_RUN,
+            load_manifest,
+            manifest_dir,
+        )
+
+        spec = {"apps": ["Music"], "schemes": ["baseline"],
+                "configs": ["google-tablet", "CritLoadPrefetch"],
+                "walk_blocks": WALK}
+        with ServeClient(server.wire) as client:
+            done = list(client.sweep(spec))[-1]
+            assert done["computed"] == 2
+            manifest = load_manifest(str(manifest_dir() / LAST_RUN))
+            assert manifest["kind"] == "serve"
+            assert manifest["engine"] == "batch@1"
+            assert manifest["batch"]["groups_by_kernel"] == {"c": 1}
+            assert manifest["batch"]["fallbacks_by_reason"] == \
+                {"load-observing prefetcher": 1}
+            assert manifest["batch"]["cells_by_path"] == \
+                {"fallback": 1, "fast": 1}
+            assert manifest["dispatch"]["executor"] == "inline@1"
+            assert manifest["dispatch"]["tasks"] == 1
+
+            assert list(client.sweep(spec))[-1]["cached"] == 2
+        again = load_manifest(str(manifest_dir() / LAST_RUN))
+        assert "batch" not in again and "dispatch" not in again
+
     @pytest.mark.parametrize("engine", ["inline", "batch"])
     def test_served_deadlock_fails_its_group_and_names_it(
             self, server, monkeypatch, engine):

@@ -8,11 +8,13 @@ changes with::
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.cpu import GOOGLE_TABLET, simulate
+from repro.cpu import GOOGLE_TABLET
+from repro.cpu import simulate as _simulate
 from repro.isa import Instruction, Opcode
 from repro.telemetry import FlightRecorder, STALL_CAUSES, parse_jsonl
 from repro.telemetry.recorder import _rle
@@ -20,6 +22,10 @@ from repro.telemetry.view import render
 from repro.telemetry import view as tview
 from repro.trace import BasicBlock, Program, materialize
 from repro.workloads import generate, get_profile
+
+#: These tests check the Python cycle loop itself (the batch engine's
+#: reference), so they name it rather than take the default engine.
+simulate = partial(_simulate, engine="inline")
 
 GOLDEN = Path(__file__).parent / "data" / "flight_recorder_golden.jsonl"
 

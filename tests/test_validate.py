@@ -14,12 +14,14 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro import telemetry
 from repro.cache import ArtifactCache
-from repro.cpu import GOOGLE_TABLET, SimStats, simulate
+from repro.cpu import GOOGLE_TABLET, SimStats
+from repro.cpu import simulate as _simulate
 from repro.cpu.config import (
     config_critical_prefetch,
     config_efetch,
@@ -38,6 +40,10 @@ from repro.validate.invariants import (
     check_fetch_stalls,
     check_timestamps,
 )
+
+#: These tests check the Python cycle loop itself (the batch engine's
+#: reference), so they name it rather than take the default engine.
+simulate = partial(_simulate, engine="inline")
 
 
 def alu(dest, *srcs, imm=None):

@@ -190,8 +190,8 @@ class TestTraceReplay:
         assert report is not None
         assert ("CritLoadPrefetch", "load-observing prefetcher") \
             in report["fallbacks"]
-        assert batch[0] == simulate(trace, GOOGLE_TABLET)
-        assert batch[1] == simulate(trace, clpt)
+        assert batch[0] == simulate(trace, GOOGLE_TABLET, engine="inline")
+        assert batch[1] == simulate(trace, clpt, engine="inline")
 
     def test_replay_compiles_under_critic_scheme(self):
         ctx = app_context("Email", WALK, "trace-replay")
