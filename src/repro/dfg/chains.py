@@ -17,7 +17,10 @@ length/spread statistics — are root-to-leaf paths of that forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.dfg.graph import Dfg
 from repro.isa.encoding import chain_thumb_encodable
@@ -37,8 +40,6 @@ class Chain:
     Attributes:
         positions: window positions of the members, in dependence order.
         uids: static instruction uids of the members.
-        signature: opcode+operand signature tuple (identifies *unique*
-            CritIC sequences, paper Fig. 5b).
         avg_fanout: the chain criticality metric.
         spread: dynamic distance from first to last member (Fig. 5a).
         thumb_encodable: all-or-nothing 16-bit representability.
@@ -46,7 +47,6 @@ class Chain:
 
     positions: Tuple[int, ...]
     uids: Tuple[int, ...]
-    signature: Tuple
     avg_fanout: float
     spread: int
     thumb_encodable: bool
@@ -75,7 +75,6 @@ def make_chain(dfg: Dfg, positions: Sequence[int]) -> Chain:
     return Chain(
         positions=tuple(positions),
         uids=tuple(i.uid for i in instrs),
-        signature=tuple(i.signature() for i in instrs),
         avg_fanout=fanout_sum / len(positions),
         spread=positions[-1] - positions[0],
         thumb_encodable=chain_thumb_encodable(instrs),
@@ -88,19 +87,25 @@ def iter_maximal_paths(
     """Yield maximal IC paths (root-to-leaf in the sole-producer forest).
 
     Paths shorter than ``min_length`` are skipped (a 1-instruction "chain"
-    carries no chain-level information).
+    carries no chain-level information).  Depth-first from each root in
+    position order, the last child first; each yielded path is a new list.
     """
-    for root in dfg.chain_roots():
-        stack: List[Tuple[int, List[int]]] = [(root, [root])]
-        while stack:
-            node, path = stack.pop()
-            children = dfg.sole_producer_children(node)
-            if not children:
-                if len(path) >= min_length:
-                    yield path
-                continue
-            for child in children:
-                stack.append((child, path + [child]))
+    kids: Dict[int, List[int]] = {}
+    for node, parent in enumerate(dfg.sole):
+        if parent >= 0:
+            kids.setdefault(parent, []).append(node)
+    # (node, depth) frames; the lowest root is on top.
+    stack = [(root, 0) for root in reversed(dfg.chain_roots())]
+    path: List[int] = []
+    while stack:
+        node, depth = stack.pop()
+        del path[depth:]
+        path.append(node)
+        below = kids.get(node)
+        if below:
+            stack.extend([(child, depth + 1) for child in below])
+        elif len(path) >= min_length:
+            yield path[:]
 
 
 def iter_maximal_chains(dfg: Dfg, min_length: int = 2) -> Iterator[Chain]:
@@ -133,30 +138,29 @@ def best_subchains(
         [exact_len] if exact_len is not None
         else list(range(min_len, max_len + 1))
     )
+    fanouts = [dfg.fanouts[p] for p in path]
+    if not fanouts or max(fanouts) <= threshold:
+        return []  # no window's average exceeds its largest member
     claimed = claimed if claimed is not None else set()
-    prefix = [0.0]
-    for p in path:
-        prefix.append(prefix[-1] + dfg.fanouts[p])
+    prefix = list(accumulate(fanouts, initial=0.0))
 
-    candidates: List[Tuple[float, int, int]] = []  # (score, start, length)
+    # Longest qualifying window first (the paper ranks CritICs by dynamic
+    # coverage, which favors longer chains); score breaks ties.
+    candidates: List[Tuple[int, float, int]] = []  # (-length, -score, start)
     for length in lengths:
         if length < 2 or length > len(path):
             continue
         for start in range(len(path) - length + 1):
             score = (prefix[start + length] - prefix[start]) / length
             if score > threshold:
-                candidates.append((score, start, length))
-
-    # Longest qualifying window first (the paper ranks CritICs by dynamic
-    # coverage, which favors longer chains); score breaks ties.
-    candidates.sort(key=lambda c: (-c[2], -c[0], c[1]))
+                candidates.append((-length, -score, start))
+    candidates.sort()
     chains: List[Chain] = []
-    for _score, start, length in candidates:
-        window = path[start:start + length]
-        if any(p in claimed for p in window):
-            continue
-        claimed.update(window)
-        chains.append(make_chain(dfg, window))
+    for neg_length, _score, start in candidates:
+        window = path[start:start - neg_length]
+        if claimed.isdisjoint(window):
+            claimed.update(window)
+            chains.append(make_chain(dfg, window))
     chains.sort(key=lambda c: c.positions[0])
     return chains
 
@@ -196,15 +200,20 @@ class ChainStats:
     mean_spread: float
 
     @staticmethod
-    def from_chains(chains: Sequence[Chain]) -> "ChainStats":
-        if not chains:
+    def from_paths(paths: Iterable[Sequence[int]]) -> "ChainStats":
+        """Summarize IC position paths, e.g. :func:`iter_maximal_paths`."""
+        lengths: List[int] = []
+        spreads: List[int] = []
+        for path in paths:
+            lengths.append(len(path))
+            spreads.append(path[-1] - path[0])
+        if not lengths:
             return ChainStats(0, 0, 0.0, 0, 0.0)
-        lengths = [c.length for c in chains]
-        spreads = [c.spread for c in chains]
-        return ChainStats(
-            count=len(chains),
-            max_length=max(lengths),
-            mean_length=sum(lengths) / len(lengths),
-            max_spread=max(spreads),
-            mean_spread=sum(spreads) / len(spreads),
-        )
+        return ChainStats(len(lengths), max(lengths),
+                          sum(lengths) / len(lengths),
+                          max(spreads), sum(spreads) / len(spreads))
+
+    @staticmethod
+    def from_chains(chains: Sequence[Chain]) -> "ChainStats":
+        """Summarize :class:`Chain` records by their position paths."""
+        return ChainStats.from_paths(c.positions for c in chains)

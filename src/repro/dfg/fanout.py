@@ -83,18 +83,14 @@ def _gap_to_next_critical(
     hops; returns ``"none"`` if no critical successor is reachable.
     """
     best: int = -1
-    # FIFO frontier via an index cursor: list.pop(0) is O(n) per step and
-    # turned wide searches quadratic; the cursor keeps identical BFS order.
+    # Breadth-first over a forest, so no node is reached twice.  FIFO via
+    # an index cursor: list.pop(0) is O(n) per step.
     frontier = [(pos, 0)]
     head = 0
-    seen = {pos}
     while head < len(frontier):
         node, depth = frontier[head]
         head += 1
         for child in dfg.sole_producer_children(node):
-            if child in seen:
-                continue
-            seen.add(child)
             if mask[child]:
                 gap = depth  # low-fanout instructions strictly between
                 if best < 0 or gap < best:

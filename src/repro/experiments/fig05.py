@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.dfg import ChainStats, Dfg, iter_maximal_chains
+from repro.dfg import ChainStats, Dfg, iter_maximal_paths
+# Fig 5a reads paths, not Chain records; bench/workloads.py still traces
+# the name fig05.iter_maximal_chains.
+from repro.dfg import iter_maximal_chains  # noqa: F401
 from repro.experiments.fig01 import GROUPS, _group_names
 from repro.experiments.runner import app_context, format_table
 from repro.telemetry import spanned
@@ -59,8 +62,8 @@ def run(per_group: Optional[int] = None,
         names = _group_names(group, per_group)
         for name in names:
             ctx = app_context(name, walk_blocks)
-            dfg = Dfg(ctx.trace())
-            stats = ChainStats.from_chains(list(iter_maximal_chains(dfg)))
+            stats = ChainStats.from_paths(
+                iter_maximal_paths(Dfg(ctx.trace())))
             max_len = max(max_len, stats.max_length)
             mean_len += stats.mean_length
             max_spread = max(max_spread, stats.max_spread)

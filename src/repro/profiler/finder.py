@@ -1,6 +1,6 @@
 """The offline CritIC finder (the paper's profiler, Sec. III-A2 / III-C).
 
-Pipeline: dynamic trace -> (sampled windows) -> DFG per window -> CritIC
+Pipeline: dynamic trace -> its DFG -> (sampled) windows cut from it -> CritIC
 occurrences -> hash-aggregate by static uid sequence -> ranked
 :class:`~repro.profiler.profile_table.CriticProfile`.
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dfg.chains import (
     CRITIC_AVG_FANOUT_THRESHOLD,
@@ -30,7 +30,7 @@ from repro.profiler.profile_table import (
 )
 from repro.trace.dynamic import Trace
 from repro.trace.program import Program
-from repro.trace.sampling import sample_trace
+from repro.trace.sampling import plan_samples
 
 #: Window length used when cutting long traces for per-window DFG analysis.
 #: Mobile chains spread over at most a few hundred dynamic instructions
@@ -57,16 +57,28 @@ class FinderConfig:
             raise ValueError("window must be positive")
 
 
-def _profile_windows(trace: Trace, config: FinderConfig) -> List[Trace]:
-    """Cut the trace into the windows the profiler will analyze."""
+def _window_critics(
+    trace: Trace, config: FinderConfig
+) -> Iterator[Tuple[int, List[Chain]]]:
+    """``(window length, CritICs)`` per profiled window.
+
+    Each window is cut from the trace's one dependence graph; sampled
+    windows (``profiled_fraction < 1``) may overlap.
+    """
     if config.profiled_fraction >= 1.0:
-        return [
-            trace.window(start, config.window)
-            for start in range(0, len(trace), config.window)
-        ]
-    total = max(1, int(len(trace) * config.profiled_fraction))
-    num_windows = max(1, total // config.window)
-    return sample_trace(trace, num_windows, config.window, seed=config.seed)
+        windows = [(start, config.window)
+                   for start in range(0, len(trace), config.window)]
+    else:
+        total = max(1, int(len(trace) * config.profiled_fraction))
+        num_windows = max(1, total // config.window)
+        windows = plan_samples(len(trace), num_windows, config.window,
+                               seed=config.seed).windows
+    max_len = config.max_length or DEFAULT_MAX_CHAIN_LEN
+    graph = Dfg(trace)
+    for start, length in windows:
+        window = graph.window(start, length)
+        yield len(window), find_critics(
+            window, threshold=config.threshold, max_len=max_len)
 
 
 def find_critic_profile(
@@ -82,21 +94,13 @@ def find_critic_profile(
     its occurrence count, mean criticality, encodability, and whether the
     compiler can hoist it (single basic block).
     """
-    config = config or FinderConfig()
     occurrences: Dict[Tuple[int, ...], int] = defaultdict(int)
     fanout_sums: Dict[Tuple[int, ...], float] = defaultdict(float)
     encodable: Dict[Tuple[int, ...], bool] = {}
     profiled = 0
-
-    max_len = config.max_length or DEFAULT_MAX_CHAIN_LEN
-    for window in _profile_windows(trace, config):
-        if not len(window):
-            continue
-        profiled += len(window)
-        dfg = Dfg(window)
-        for chain in find_critics(
-            dfg, threshold=config.threshold, max_len=max_len
-        ):
+    for length, chains in _window_critics(trace, config or FinderConfig()):
+        profiled += length
+        for chain in chains:
             occurrences[chain.uids] += 1
             fanout_sums[chain.uids] += chain.avg_fanout
             encodable[chain.uids] = chain.thumb_encodable
@@ -118,14 +122,5 @@ def find_critic_profile(
 def chains_per_window(trace: Trace,
                       config: Optional[FinderConfig] = None) -> List[List[Chain]]:
     """Raw per-window CritIC occurrences (used by analyses and tests)."""
-    config = config or FinderConfig()
-    max_len = config.max_length or DEFAULT_MAX_CHAIN_LEN
-    result = []
-    for window in _profile_windows(trace, config):
-        if not len(window):
-            continue
-        dfg = Dfg(window)
-        result.append(
-            find_critics(dfg, threshold=config.threshold, max_len=max_len)
-        )
-    return result
+    return [chains for _length, chains
+            in _window_critics(trace, config or FinderConfig())]

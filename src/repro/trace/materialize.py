@@ -18,6 +18,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
+from repro.isa.instruction import Instruction
 from repro.trace.dynamic import Trace, TraceEntry
 from repro.trace.program import Program
 
@@ -95,6 +96,29 @@ class TableMemoryModel:
         return pattern.address_for(occurrence)
 
 
+#: Branch kinds of a plan step: not a branch, always taken, or taken iff
+#: the walk's next block is the branch target.
+_NONE, _ALWAYS, _CONDITIONAL = 0, 1, 2
+
+#: (instr, uid, pc, is_memory, branch kind, branch target) of one
+#: static instruction.
+_Step = Tuple[Instruction, int, int, bool, int, Optional[int]]
+
+
+def _block_plan(program: Program, block_id: int,
+                layout: Dict[int, int]) -> List[_Step]:
+    """What :func:`materialize` needs of each instruction of a block,
+    resolved once per block instead of once per dynamic instance."""
+    plan = []
+    for instr in program.block(block_id).instructions:
+        branch = _NONE
+        if instr.is_branch:
+            branch = _CONDITIONAL if instr.cond.is_predicated else _ALWAYS
+        plan.append((instr, instr.uid, layout[instr.uid], instr.is_memory,
+                     branch, instr.target))
+    return plan
+
+
 def materialize(
     program: Program,
     walk: Sequence[int],
@@ -108,37 +132,32 @@ def materialize(
     branches are always taken).
     """
     memory = memory if memory is not None else TableMemoryModel()
+    address_for = memory.address_for
     layout = program.layout()
     occurrences: Dict[int, int] = {}
     entries: List[TraceEntry] = []
+    append = entries.append
+    plans: Dict[int, List[_Step]] = {}
     seq = 0
 
     for idx, block_id in enumerate(walk):
-        block = program.block(block_id)
+        plan = plans.get(block_id)
+        if plan is None:
+            plan = plans[block_id] = _block_plan(program, block_id, layout)
         next_block = walk[idx + 1] if idx + 1 < len(walk) else None
-        for pos, instr in enumerate(block.instructions):
+        for instr, uid, pc, is_memory, branch, target in plan:
             mem_addr = None
-            if instr.is_memory:
-                occ = occurrences.get(instr.uid, 0)
-                occurrences[instr.uid] = occ + 1
-                mem_addr = memory.address_for(instr.uid, occ)
+            if is_memory:
+                occ = occurrences.get(uid, 0)
+                occurrences[uid] = occ + 1
+                mem_addr = address_for(uid, occ)
             taken = None
-            if instr.is_branch:
-                if not instr.cond.is_predicated:
-                    taken = True
-                elif next_block is None:
-                    taken = False
-                else:
-                    taken = next_block == instr.target
-            entries.append(
-                TraceEntry(
-                    seq=seq,
-                    instr=instr,
-                    pc=layout[instr.uid],
-                    mem_addr=mem_addr,
-                    taken=taken,
-                )
-            )
+            if branch == _ALWAYS:
+                taken = True
+            elif branch == _CONDITIONAL:
+                taken = next_block is not None and next_block == target
+            append(TraceEntry(seq, instr, pc, mem_addr, taken))
             seq += 1
 
     return Trace(entries, name=name, program_name=program.name)
+

@@ -27,6 +27,9 @@ must hold between runs regardless of the absolute numbers:
   instruction prefetcher never *adds* demand i-cache misses beyond
   alignment/pollution noise: its fills install lines ahead of the fetch
   stream, they never count as demand accesses.
+* **DFG windows are restrictions** — a window cut from the baseline
+  trace's dependence graph equals the graph rebuilt on that window
+  (the profiler analyzes cut windows, never rebuilt ones).
 
 That one grid gives the same ``SimStats`` under every engine, executor,
 cache state, workload family and front is not a fuzz property: the
@@ -58,6 +61,7 @@ from repro.cpu.config import (
 )
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import SimStats
+from repro.dfg import Dfg
 from repro.experiments.runner import AppContext
 from repro.registry import HARDWARE_CONFIGS, SCHEME_RECIPES
 from repro.validate.differential import differential_check
@@ -139,6 +143,12 @@ def _meta(report: ValidationReport, result: FuzzResult, ok: bool,
     result.properties_checked += 1
     if not ok:
         report.add(kind, message, **context)
+
+
+def _csr(dfg: Dfg) -> tuple:
+    """Every array of a dependence graph."""
+    return (dfg.producers.ptr, dfg.producers.index, dfg.consumers.ptr,
+            dfg.consumers.index, dfg.fanouts, dfg.sole)
 
 
 def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
@@ -260,6 +270,21 @@ def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
         f"deployable CritIC ({cycles['critic']} cycles) beyond "
         f"alignment noise (bound {ideal_bound})",
     )
+
+    # -- DFG windows: cut from the trace's graph == rebuilt ----------------
+    graph = Dfg(baseline)
+    width = max(1, len(baseline) // 4)
+    for start, length in ((0, width), (width // 2, width),
+                          (len(baseline) - width // 2, width)):
+        cut = graph.window(start, length)
+        rebuilt = Dfg(baseline.window(start, length))
+        _meta(
+            report, result, _csr(cut) == _csr(rebuilt),
+            "meta_dfg_window",
+            f"DFG window [{start}, +{length}) cut from the trace's graph "
+            f"differs from the graph rebuilt on it",
+            start=start, length=length,
+        )
 
     # -- differential oracle -------------------------------------------------
     if differential:

@@ -21,9 +21,9 @@ def trace_of(instrs):
 class TestDfg:
     def test_consumers_match_producers(self):
         dfg = Dfg(trace_of([alu(0, 6), alu(1, 0), alu(2, 0, 1)]))
-        assert dfg.consumers[0] == [1, 2]
-        assert dfg.producers[2] == (0, 1)
-        assert dfg.fanouts == [2, 1, 0]
+        assert list(dfg.consumers[0]) == [1, 2]
+        assert tuple(dfg.producers[2]) == (0, 1)
+        assert list(dfg.fanouts) == [2, 1, 0]
 
     def test_sole_producer_children(self):
         dfg = Dfg(trace_of([alu(0, 6), alu(1, 0), alu(2, 0, 1)]))
@@ -66,7 +66,7 @@ def test_property_edges_point_backwards(trace):
         for producer in producers:
             assert producer < pos
             assert pos in dfg.consumers[producer]
-    assert dfg.fanouts == [len(c) for c in dfg.consumers]
+    assert list(dfg.fanouts) == [len(c) for c in dfg.consumers]
 
 
 @given(random_traces())
