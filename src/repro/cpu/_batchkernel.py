@@ -262,8 +262,10 @@ def make_cell(shared: SharedArrays, profile: Any, config: Any,
     cs.window = np.zeros(win_cap, dtype=np.int32)
     # (padded to one entry: the kernel takes a pointer even when no L2
     # set is over-subscribed)
-    cs.l2_tags = np.array(l2_tags_img or [0], dtype=np.int64)
-    cs.l2_occ = np.array(l2_occ_img or [0], dtype=np.int32)
+    cs.l2_tags = np.array(l2_tags_img if len(l2_tags_img) else [0],
+                          dtype=np.int64)
+    cs.l2_occ = np.array(l2_occ_img if len(l2_occ_img) else [0],
+                         dtype=np.int32)
     cs.dram_rows = np.full(dram_banks, -1, dtype=np.int64)
     return cs
 

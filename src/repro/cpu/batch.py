@@ -7,9 +7,11 @@ Simulator` pays per-cycle Python dispatch for every cell independently;
 this engine removes that cost by splitting a cell into
 
 1. **columns** — the trace's per-entry facts and dependence maps as
-   numpy arrays (:class:`_TraceArrays`), built straight from the trace
-   with per-static gathers and a vectorized last-writer scan, never
-   through the inline engine's ``_TraceTables``;
+   numpy arrays (:class:`_TraceArrays`), gathered from the trace's own
+   columns (``Trace.columns()``: no ``TraceEntry`` objects are built
+   for a loaded trace) with per-static gathers and a vectorized
+   last-writer scan, never through the inline engine's
+   ``_TraceTables``;
 2. **profiles** — everything the cycle loop obtains from the stateful
    branch/memory components, precomputed by replaying those components
    once in trace order (their state evolution is position-ordered, not
@@ -26,6 +28,11 @@ memory system once per distinct configuration class, not once per cell.
 Why the replay is exact
 -----------------------
 
+* Warm-up only fills, so an LRU cache's post-warm state is, per set,
+  the ``assoc`` distinct lines filled last, most recent first: the
+  batch engine computes those images from the columns instead of
+  replaying ``MemorySystem.warm`` (a non-LRU i-cache is still filled
+  in order).
 * Branch state (gshare + RAS) advances only when a branch is *consumed*
   at fetch, and fetch consumes trace positions strictly in order — so
   prediction outcomes are a pure function of position.
@@ -61,7 +68,6 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import astuple
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
@@ -84,7 +90,7 @@ from repro.memory.prefetch import (
     CriticalNextLinePrefetcher,
     EFetchPrefetcher,
 )
-from repro.memory.replacement import LruPolicy, TrripPolicy
+from repro.memory.replacement import LruPolicy, TrripPolicy, make_policy
 from repro.registry import BRANCH_PREDICTORS, ICACHE_POLICIES, PREFETCHERS
 from repro.trace.dependence import reads_flags, writes_flags
 from repro.trace.dynamic import Trace
@@ -117,25 +123,22 @@ def _require_numpy():
 _FLAGS_KEY = NUM_REGISTERS
 _WORD_BASE = NUM_REGISTERS + 1
 
-_INSTR = attrgetter("instr")
-_PC = attrgetter("pc")
-_MEM = attrgetter("mem_addr")
-_TAKEN = attrgetter("taken")
-
 
 class _TraceArrays:
     """Everything the batch engine reads from one trace, as numpy columns
-    built straight from ``trace.entries`` (the inline engine's
-    ``_TraceTables`` is never built for a kernel cell).
+    gathered from ``trace.columns()``: a loaded trace is simulated
+    without building its ``TraceEntry`` objects, and the inline engine's
+    ``_TraceTables`` is never built for a kernel cell.
 
-    Static facts are resolved once per distinct instruction and gathered
-    over its occurrences.  The dependence maps are CSR arrays equal,
-    element for element and in order, to
+    Static facts are resolved once per static and gathered over its
+    occurrences.  The dependence maps are CSR arrays equal, element for
+    element and in order, to
     :func:`repro.trace.dependence.compute_producers` and
     ``compute_consumers``; ``critical`` is the default high-fanout mask.
     ``mem`` is -1 where an entry has no address, and ``touch`` marks the
     loads and stores that have one.  ``profiles`` memoizes this trace's
-    branch and memory profiles and d-cache splits.
+    branch and memory profiles, post-warm cache images and d-cache
+    splits.
     """
 
     __slots__ = (
@@ -160,15 +163,10 @@ def _trace_arrays(np, trace: Trace) -> _TraceArrays:
 
 
 def _build_trace_arrays(np, trace: Trace) -> _TraceArrays:
-    entries = trace.entries
-    n = len(entries)
-    instrs = list(map(_INSTR, entries))
-    statics = list({id(instr): instr for instr in instrs}.values())
-    index = {id(instr): k for k, instr in enumerate(statics)}
-    sidx = np.fromiter(map(index.__getitem__, map(id, instrs)),
-                       dtype=np.intp, count=n)
-    del instrs, index
-
+    columns = trace.columns()
+    n = len(columns.index)
+    sidx = np.frombuffer(columns.index, dtype=np.int32)
+    statics = [instr for instr, _ in columns.statics]
     facts = [_static_facts(instr) for instr in statics]
 
     def gather(field: int, dtype) -> Any:
@@ -187,12 +185,12 @@ def _build_trace_arrays(np, trace: Trace) -> _TraceArrays:
                | gather(5, np.bool_) * bk.FLAG_CDP).astype(np.uint8)
     a.brt = gather(6, np.uint8)
     a.brpred = gather(7, np.bool_)
-    a.pcs = np.fromiter(map(_PC, entries), dtype=np.int64, count=n)
-    a.mem = np.fromiter((-1 if addr is None else addr
-                         for addr in map(_MEM, entries)),
-                        dtype=np.int64, count=n)
-    a.takens = np.fromiter(map(bool, map(_TAKEN, entries)),
-                           dtype=np.bool_, count=n)
+    a.pcs = np.fromiter((pc for _, pc in columns.statics), dtype=np.int64,
+                        count=len(statics))[sidx]
+    # (read-only views of the trace's own columns)
+    a.mem = np.frombuffer(columns.mem, dtype=np.int64)
+    a.mem.flags.writeable = False
+    a.takens = np.frombuffer(columns.taken, dtype=np.uint8) == 1
     a.touch = (isld | isst) & (a.mem >= 0)
     a.max_lat = int(a.lats.max()) if n else 1
 
@@ -371,16 +369,19 @@ def _branch_profile(np, arrays: _TraceArrays, config) -> _BranchProfile:
     return profile
 
 
-def _build_memory_profile(np, trace: Trace, arrays: _TraceArrays, config,
+def _build_memory_profile(np, arrays: _TraceArrays, config,
                           crit) -> _MemoryProfile:
-    """Replay warmup + the i-side of the memory system in trace order.
+    """Replay the i-side of the memory system in trace order, from the
+    post-warm cache images.
 
     Produces the fetch-event stream (one event per i-line transition of
     the fetch stream, exactly as ``MemorySystem.ifetch`` would see it),
     the post-warm d-cache image, and the kernel's model of the
     over-subscribed L2 sets: their post-warm LRU images, the i-side L2
     operations that touch them (in position order), and the d-side
-    accesses that map to them.
+    accesses that map to them.  The caches start as
+    ``MemorySystem.warm`` leaves them (:func:`_warm_caches`); only the
+    i-cache is a live cache, for the replay.
 
     The i-side replay never consults the L2 (L2 contents change only
     latency), so it runs to the end with the L2 left at its post-warm
@@ -394,17 +395,15 @@ def _build_memory_profile(np, trace: Trace, arrays: _TraceArrays, config,
     prefetcher, the calls) can change i-side state, so the replay
     visits just those.
     """
-    from repro.memory.dram import Dram
-    from repro.memory.hierarchy import MemorySystem
+    from repro.memory.dram import Dram, DramTimings
 
     mc = config.memory
-    ms = MemorySystem(mc)
-    ms.warm(trace)
-    icache = ms.icache
-    l2 = ms.l2
     line_bytes = mc.line_bytes
-    num_l2_sets = l2.num_sets
-    l2_assoc = l2.assoc
+    n = arrays.n
+    pcs = arrays.pcs
+    lines, starts = _fetch_lines(np, arrays, line_bytes)
+    icache, dc_image, l2_image = _warm_caches(np, arrays, mc)
+    num_l2_sets, l2_assoc, l2_occ, l2_tags = l2_image
 
     prefetchers = tuple(
         PREFETCHERS.create(name, config)
@@ -415,10 +414,6 @@ def _build_memory_profile(np, trace: Trace, arrays: _TraceArrays, config,
     call_pfs = tuple(
         p for p in prefetchers if _observes(p, "observe_call"))
 
-    n = arrays.n
-    pcs = arrays.pcs
-    lines = pcs // line_bytes
-    starts = np.flatnonzero(np.diff(lines, prepend=-1))
     is_call = np.zeros(n, dtype=np.bool_)
     if call_pfs:
         is_call[:n - 1] = arrays.brt[:n - 1] == _BR_CALL
@@ -542,10 +537,11 @@ def _build_memory_profile(np, trace: Trace, arrays: _TraceArrays, config,
     profile.l2_accesses = l2_lookups
     profile.prefetch_issued = tuple(
         (pf.name, pf.issued) for pf in prefetchers)
-    profile.dc_snapshot = _lru_image(ms.dcache, range(ms.dcache.num_sets))
-    # The replay never touched the L2, so it still holds the exact
-    # post-warm image (warm is position-ordered).
-    profile.l2_snapshot = _lru_image(l2, hot)
+    profile.dc_snapshot = dc_image
+    # The replay never touches the L2, so the kernel starts the hot sets
+    # from their post-warm image.
+    profile.l2_snapshot = (len(hot), l2_assoc, l2_occ[hot],
+                           l2_tags.reshape(-1, l2_assoc)[hot].reshape(-1))
     profile.iop_pos = np.array(iop_pos, dtype=np.int32)
     profile.iop_call = iop_call
     # (one trailing unused entry: the kernel takes a pointer even when
@@ -560,41 +556,123 @@ def _build_memory_profile(np, trace: Trace, arrays: _TraceArrays, config,
         np.array(i_row, dtype=np.int64), mem[d_pos] // row_bytes,
         np.zeros(1, dtype=np.int64)))
     profile.d_l2 = d_l2
-    timings = ms.dram.timings
+    timings = DramTimings()
     row_hit = timings.t_overhead + timings.t_cl + timings.t_burst
     profile.dram = (Dram.NUM_RANKS * Dram.BANKS_PER_RANK, row_hit,
                     row_hit + timings.t_rp + timings.t_rcd)
     return profile
 
 
-def _lru_image(cache, sets) -> Tuple[int, int, List[int], List[int]]:
-    """``(num_sets, assoc, occupancy, flat MRU-first tags)`` of the given
-    LRU sets of ``cache``, in order."""
-    assoc = cache.assoc
-    sets = list(sets)
-    occ = [len(cache._sets[s]) for s in sets]
-    flat = [0] * (len(sets) * assoc)
-    for k, s in enumerate(sets):
-        base = k * assoc
-        for w, tag in enumerate(cache._sets[s]):
-            flat[base + w] = tag
-    return len(sets), assoc, occ, flat
+def _fetch_lines(np, arrays: _TraceArrays, line_bytes: int
+                 ) -> Tuple[Any, Any]:
+    """Each position's i-line, and the positions where the fetch stream
+    enters a new one."""
+    lines = arrays.pcs // line_bytes
+    return lines, np.flatnonzero(np.diff(lines, prepend=-1))
 
 
-def _memory_profile(np, trace: Trace, arrays: _TraceArrays, config, crit,
+def _warm_caches(np, arrays: _TraceArrays, mc) -> Tuple[Any, Any, Any]:
+    """What ``MemorySystem(mc).warm`` leaves over this trace: a live
+    i-cache (the replay's), and the d-cache and L2 images.
+
+    An LRU i-cache starts from its image; any other policy's state is
+    not a recency order, so it is filled in order at the i-line
+    transitions, as ``warm`` fills it.
+    """
+    from repro.memory.cache import Cache, num_sets
+
+    line_bytes = mc.line_bytes
+    icache = Cache("icache", mc.icache_bytes, mc.icache_assoc, line_bytes,
+                   mc.icache_hit, policy=make_policy(mc.icache_policy))
+    if type(icache.policy) is LruPolicy:
+        icache._sets = _image_rows(_warm_image(
+            np, arrays, "icache", line_bytes, icache.num_sets,
+            icache.assoc))
+    else:
+        lines, starts = _fetch_lines(np, arrays, line_bytes)
+        for line in lines[starts].tolist():
+            icache.fill(line * line_bytes)
+    dc_image = _warm_image(
+        np, arrays, "dcache", line_bytes,
+        num_sets("dcache", mc.dcache_bytes, mc.dcache_assoc, line_bytes),
+        mc.dcache_assoc)
+    l2_image = _warm_image(
+        np, arrays, "l2", line_bytes,
+        num_sets("l2", mc.l2_bytes, mc.l2_assoc, line_bytes), mc.l2_assoc)
+    return icache, dc_image, l2_image
+
+
+def _warm_image(np, arrays: _TraceArrays, level: str, line_bytes: int,
+                sets: int, assoc: int) -> Tuple[int, int, Any, Any]:
+    """The LRU image ``MemorySystem.warm`` leaves in its ``level``
+    cache (``icache``, ``dcache`` or ``l2``) of ``sets`` x ``assoc``
+    lines of ``line_bytes``, memoized per trace and geometry.
+
+    ``warm`` fills the i-cache at each i-line transition, the d-cache
+    at each address, and the L2 with both, in position order: the
+    i-fill of position ``p`` at time ``2p``, its d-fill at ``2p + 1``.
+    After a run of fills, an LRU set holds the ``assoc`` distinct lines
+    filled last, most recent first.  Returns ``(sets, assoc, occupancy,
+    flat MRU-first tags)``, the kernel's image form, as numpy arrays.
+    """
+    key = ("warm", level, line_bytes, sets, assoc)
+    image = arrays.profiles.get(key)
+    if image is not None:
+        return image
+    lines, starts = _fetch_lines(np, arrays, line_bytes)
+    mem = arrays.mem
+    has = np.flatnonzero(mem >= 0)
+    if level == "icache":
+        filled, times = lines[starts], starts
+    elif level == "dcache":
+        filled, times = mem[has] // line_bytes, has
+    else:
+        filled = np.concatenate((lines[starts], mem[has] // line_bytes))
+        times = np.concatenate((2 * starts, 2 * has + 1))
+    # the last fill of each distinct line
+    order = np.lexsort((times, filled))
+    filled = filled[order]
+    times = times[order]
+    last = np.ones(len(filled), dtype=np.bool_)
+    last[:-1] = filled[1:] != filled[:-1]
+    filled = filled[last]
+    times = times[last]
+    # per set, most recent first; ways past ``assoc`` were evicted
+    set_of = filled % sets
+    order = np.lexsort((-times, set_of))
+    set_of = set_of[order]
+    way = np.arange(len(set_of)) - np.searchsorted(set_of, set_of)
+    kept = way < assoc
+    set_of = set_of[kept]
+    tags = np.zeros(sets * assoc, dtype=np.int64)
+    tags[set_of * assoc + way[kept]] = filled[order][kept] // sets
+    occupancy = np.bincount(set_of, minlength=sets).astype(np.int32)
+    image = arrays.profiles[key] = (sets, assoc, occupancy, tags)
+    return image
+
+
+def _image_rows(image: Tuple[int, int, Any, Any]) -> List[List[int]]:
+    """An image as ``Cache._sets`` of an LRU cache: per set, its tags
+    MRU first."""
+    _, assoc, occupancy, tags = image
+    rows = tags.reshape(-1, assoc).tolist()
+    for row, occupied in zip(rows, occupancy.tolist()):
+        del row[occupied:]
+    return rows
+
+
+def _memory_profile(np, arrays: _TraceArrays, config, crit,
                     created) -> _MemoryProfile:
     """Memoized per trace when every composed component is a known
     builtin (custom factories may read arbitrary config fields, so they
     replay fresh per cell — still exact, just unshared)."""
-    from repro.memory.replacement import make_policy
-
     shareable = all(
         type(p) in (EFetchPrefetcher, CriticalNextLinePrefetcher)
         for p in created
     ) and type(make_policy(config.memory.icache_policy)) \
         in (LruPolicy, TrripPolicy)
     if not shareable:
-        return _build_memory_profile(np, trace, arrays, config, crit)
+        return _build_memory_profile(np, arrays, config, crit)
     key: Tuple[Any, ...] = (
         "mem", astuple(config.memory),
         tuple(PREFETCHERS.identity(name)
@@ -606,7 +684,7 @@ def _memory_profile(np, trace: Trace, arrays: _TraceArrays, config, crit,
         key = key + (crit.tobytes(),)
     profile = arrays.profiles.get(key)
     if profile is None:
-        profile = _build_memory_profile(np, trace, arrays, config, crit)
+        profile = _build_memory_profile(np, arrays, config, crit)
         arrays.profiles[key] = profile
     return profile
 
@@ -671,7 +749,7 @@ def _finalize_cell(np, trace: Trace, config, cell: bk.CellState,
     """Assemble one cell's ``SimStats`` from kernel registers + stage
     timestamp matrices — field for field what the inline finalize does."""
     regs = cell.regs
-    n = len(trace.entries)
+    n = len(trace)
 
     def g(index: int) -> int:
         return int(regs[index])
@@ -864,7 +942,7 @@ def simulate_batch(
             else _position_mask(np, arrays.n, critical_positions)
         for plan, created in created_by_plan:
             plan.bp = _branch_profile(np, arrays, plan.config)
-            plan.mp = _memory_profile(np, trace, arrays, plan.config, crit,
+            plan.mp = _memory_profile(np, arrays, plan.config, crit,
                                       created)
 
     fast = [plan for plan in plans if plan.reason is None]
@@ -970,7 +1048,7 @@ def simulate_batch(
                       help="Per-cell inline fallbacks by reason.",
                       reason=reason)
         telemetry.emit("batch.fallback", config=config_name,
-                       reason=reason, trace_len=len(trace.entries))
+                       reason=reason, trace_len=len(trace))
     if rounds:
         telemetry.observe("repro_batch_occupancy", occupancy,
                           buckets=telemetry.metrics.RATIO_BUCKETS,

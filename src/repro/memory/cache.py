@@ -34,6 +34,18 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
+def num_sets(name: str, size_bytes: int, assoc: int,
+             line_bytes: int) -> int:
+    """Sets of a ``size_bytes`` cache with ``assoc`` ways of
+    ``line_bytes``; raises ``ValueError`` when they do not divide it."""
+    if size_bytes % (assoc * line_bytes) != 0:
+        raise ValueError(
+            f"{name}: size {size_bytes} not divisible by "
+            f"assoc*line ({assoc}*{line_bytes})"
+        )
+    return size_bytes // (assoc * line_bytes)
+
+
 class Cache:
     """A size/assoc/line-size parameterized cache with pluggable
     replacement.
@@ -54,17 +66,12 @@ class Cache:
     def __init__(self, name: str, size_bytes: int, assoc: int,
                  line_bytes: int, hit_latency: int,
                  policy: Optional[Any] = None):
-        if size_bytes % (assoc * line_bytes) != 0:
-            raise ValueError(
-                f"{name}: size {size_bytes} not divisible by "
-                f"assoc*line ({assoc}*{line_bytes})"
-            )
+        self.num_sets = num_sets(name, size_bytes, assoc, line_bytes)
         self.name = name
         self.size_bytes = size_bytes
         self.assoc = assoc
         self.line_bytes = line_bytes
         self.hit_latency = hit_latency
-        self.num_sets = size_bytes // (assoc * line_bytes)
         self.stats = CacheStats()
         if policy is None:
             from repro.memory.replacement import LruPolicy

@@ -8,7 +8,7 @@ from repro.trace.dependence import (
     reads_flags,
     writes_flags,
 )
-from repro.trace.dynamic import Trace, TraceEntry
+from repro.trace.dynamic import Trace, TraceColumns, TraceEntry
 from repro.trace.materialize import (
     HashedPattern,
     MemoryModel,
@@ -38,6 +38,7 @@ __all__ = [
     "TableMemoryModel",
     "TEXT_BASE",
     "Trace",
+    "TraceColumns",
     "TraceEntry",
     "TraceFormatError",
     "compute_consumers",

@@ -20,34 +20,43 @@ written once, and the dynamic stream is three packed columns::
 
 A static is one distinct ``(instruction, pc)`` pair.  Its assembly column
 round-trips through :mod:`repro.isa.assembly`, so a dumped trace reloads
-without the generating program, and the loader builds one
+without the generating program.  The file is the trace's
+:class:`~repro.trace.dynamic.TraceColumns` written out: the dumper writes
+``trace.columns()`` (built once from a materialized trace's entries and
+kept, so the same pass also serves the batch engine), and the loader
+builds only the columns, with one
 :class:`~repro.isa.instruction.Instruction` per static that all of its
 occurrences share — exactly as a materialized trace shares the program's
 objects (the simulator's per-``id(instr)`` static-info memos rely on that
-identity).  Entry ``k`` has seq ``seq0 + k``, so only traces with
-consecutive seqs (any materialized trace or window of one) can be dumped.
-Blank lines and other ``#`` lines are skipped.
+identity).  A loaded trace builds its ``TraceEntry`` objects only when
+something first reads ``trace.entries``.  Entry ``k`` has seq
+``seq0 + k``, so only traces with consecutive seqs (any materialized
+trace or window of one) can be dumped.  Blank lines and other ``#``
+lines are skipped.
 
 Blobs reach the loader from the on-disk cache, which a crash or another
-process may have left torn, so it parses plain text only and turns every
-malformation into :class:`TraceFormatError` (a ``ValueError``), which
-the artifact cache treats as a miss.
+process may have left torn, so it parses plain text only, checks every
+column at load time, and turns every malformation into
+:class:`TraceFormatError` (a ``ValueError``), which the artifact cache
+treats as a miss.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from array import array
 from typing import Dict, List, TextIO, Tuple
 
 from repro.isa.assembly import parse_line
 from repro.isa.instruction import Instruction
-from repro.trace.dynamic import Trace, TraceEntry
+from repro.trace.dynamic import Trace, TraceColumns
 
 #: Format marker written as the first line.
 HEADER = "# repro-trace v2"
 
-#: Taken column character -> ``TraceEntry.taken``.
-_TAKEN = {"T": True, "N": False, "-": None}
+#: Taken column characters, indexed by ``TraceColumns.taken`` byte.
+_TAKEN_CHARS = b"NT-"
+_TO_CHARS = bytes.maketrans(bytes(range(3)), _TAKEN_CHARS)
+_TO_BYTES = bytes.maketrans(_TAKEN_CHARS, bytes(range(3)))
 
 #: Column tags, in file order: static index, memory address, taken.
 _COLUMNS = ("i", "m", "t")
@@ -60,42 +69,30 @@ def dump_trace(trace: Trace, stream: TextIO) -> int:
         ValueError: if the entries' seqs are not consecutive from a
             non-negative first seq.
     """
-    entries = trace.entries
-    seq0 = entries[0].seq if entries else 0
-    if seq0 < 0 or any(e.seq != s for e, s in zip(entries, count(seq0))):
+    columns = trace.columns()
+    if columns.seq0 is None:
         raise ValueError(
             "only traces with consecutive, non-negative seqs can be dumped"
         )
-    slots: Dict[Tuple[int, int], int] = {}
-    statics: List[TraceEntry] = []
-    index: List[int] = []
-    for entry in entries:
-        key = (id(entry.instr), entry.pc)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(statics)
-            statics.append(entry)
-        index.append(slot)
     lines = [
         HEADER,
         f"# name={trace.name}",
         f"# program={trace.program_name}",
-        f"# statics={len(statics)}",
-        f"# entries={len(entries)}",
-        f"# seq0={seq0}",
+        f"# statics={len(columns.statics)}",
+        f"# entries={len(columns.index)}",
+        f"# seq0={columns.seq0}",
     ]
     lines.extend(
-        f"{e.instr.uid}\t{e.pc:#x}\t{e.instr.to_text()}" for e in statics
+        f"{instr.uid}\t{pc:#x}\t{instr.to_text()}"
+        for instr, pc in columns.statics
     )
-    lines.append("i " + ",".join(map(str, index)))
+    lines.append("i " + ",".join(map(str, columns.index)))
     lines.append("m " + ",".join(
-        "-" if e.mem_addr is None else f"{e.mem_addr:x}" for e in entries
+        "-" if addr < 0 else f"{addr:x}" for addr in columns.mem
     ))
-    lines.append("t " + "".join(
-        "-" if e.taken is None else ("T" if e.taken else "N") for e in entries
-    ))
+    lines.append("t " + columns.taken.translate(_TO_CHARS).decode("ascii"))
     stream.write("\n".join(lines) + "\n")
-    return len(entries)
+    return len(columns.index)
 
 
 def dump_trace_to_path(trace: Trace, path: str) -> int:
@@ -161,39 +158,41 @@ def load_trace(stream: TextIO) -> Trace:
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
 
-    columns = []
+    texts = []
     for (lineno, line), tag in zip(body[n_statics:], _COLUMNS):
         got, _, column = line.partition(" ")
         if got != tag:
             raise TraceFormatError(
                 f"line {lineno}: expected column {tag!r}, got {got!r}"
             )
-        columns.append(column)
-    index_s, mem_s, taken_s = columns
+        texts.append(column)
+    index_s, mem_s, taken_s = texts
     try:
-        index = list(map(int, index_s.split(","))) if index_s else []
-        mems = [None if s == "-" else int(s, 16)
-                for s in mem_s.split(",")] if mem_s else []
-        takens = list(map(_TAKEN.__getitem__, taken_s))
-    except (ValueError, KeyError) as exc:
+        index = array("i", map(int, index_s.split(","))) if index_s \
+            else array("i")
+        mem = array("q", [-1 if s == "-" else int(s, 16)
+                          for s in mem_s.split(",")]) if mem_s \
+            else array("q")
+        taken = taken_s.encode("ascii")
+    except (ValueError, OverflowError) as exc:
         raise TraceFormatError(f"bad column value: {exc}") from None
-    if not len(index) == len(mems) == len(takens) == n_entries:
+    if taken.translate(None, _TAKEN_CHARS):
+        raise TraceFormatError(f"bad taken column {taken_s[:40]!r}")
+    if not len(index) == len(mem) == len(taken) == n_entries:
         raise TraceFormatError(
-            f"column lengths {len(index)}/{len(mems)}/{len(takens)} "
+            f"column lengths {len(index)}/{len(mem)}/{len(taken)} "
             f"disagree with entries={n_entries}"
         )
     if index and not 0 <= min(index) <= max(index) < n_statics:
         raise TraceFormatError(
             f"static index out of range 0..{n_statics - 1}"
         )
-    entries = [
-        TraceEntry(seq, instr, pc, mem, taken)
-        for seq, (instr, pc), mem, taken in zip(
-            count(seq0), map(statics.__getitem__, index), mems, takens
-        )
-    ]
-    return Trace(entries, name=meta.get("name", "trace"),
-                 program_name=meta.get("program", ""))
+    if mem and min(mem) < -1:
+        raise TraceFormatError("negative memory address")
+    columns = TraceColumns(seq0, statics, index, mem,
+                           taken.translate(_TO_BYTES))
+    return Trace.from_columns(columns, name=meta.get("name", "trace"),
+                              program_name=meta.get("program", ""))
 
 
 def load_trace_from_path(path: str) -> Trace:

@@ -30,6 +30,11 @@ must hold between runs regardless of the absolute numbers:
 * **DFG windows are restrictions** — a window cut from the baseline
   trace's dependence graph equals the graph rebuilt on that window
   (the profiler analyzes cut windows, never rebuilt ones).
+* **Columns round-trip, and warm images come from them** — a dumped
+  and reloaded baseline trace has the original's columns, and the
+  post-warm cache images the batch engine computes from those columns
+  equal the sets ``MemorySystem.warm`` leaves, under every distinct
+  Fig 11 memory configuration and the TRRIP i-cache.
 
 That one grid gives the same ``SimStats`` under every engine, executor,
 cache state, workload family and front is not a fuzz property: the
@@ -47,11 +52,13 @@ a reproducer.
 
 from __future__ import annotations
 
+import io
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.cpu.config import (
+    HARDWARE_VARIANTS,
     CpuConfig,
     GOOGLE_TABLET,
     config_4x_icache,
@@ -63,7 +70,9 @@ from repro.cpu.pipeline import simulate
 from repro.cpu.stats import SimStats
 from repro.dfg import Dfg
 from repro.experiments.runner import AppContext
+from repro.memory.hierarchy import MemorySystem
 from repro.registry import HARDWARE_CONFIGS, SCHEME_RECIPES
+from repro.trace.trace_io import dump_trace, load_trace
 from repro.validate.differential import differential_check
 from repro.validate.invariants import RunValidator, ValidationReport
 from repro.workloads import ALL_PROFILES, WorkloadProfile
@@ -149,6 +158,45 @@ def _csr(dfg: Dfg) -> tuple:
     """Every array of a dependence graph."""
     return (dfg.producers.ptr, dfg.producers.index, dfg.consumers.ptr,
             dfg.consumers.index, dfg.fanouts, dfg.sole)
+
+
+def _check_columns(trace, report: ValidationReport,
+                   result: FuzzResult) -> None:
+    """``meta_warm_image``: ``trace`` reloads with the same columns, and
+    the batch engine's post-warm images from the reloaded columns equal
+    the sets ``MemorySystem.warm`` leaves, per distinct memory config of
+    Fig 11 plus the TRRIP i-cache."""
+    from repro.cpu import batch
+
+    np = batch._require_numpy()
+    buffer = io.StringIO()
+    dump_trace(trace, buffer)
+    loaded = load_trace(io.StringIO(buffer.getvalue()))
+    _meta(
+        report, result, loaded.columns() == trace.columns(),
+        "meta_warm_image",
+        "the reloaded baseline trace's columns differ from the original's",
+    )
+    arrays = batch._build_trace_arrays(np, loaded)
+    names = ("google-tablet",) + tuple(HARDWARE_VARIANTS) + ("trrip-icache",)
+    memories = {}
+    for name in names:
+        config = HARDWARE_CONFIGS.create(name)
+        memories.setdefault(astuple(config.memory), (name, config.memory))
+    for name, memory in memories.values():
+        warmed = MemorySystem(memory)
+        warmed.warm(trace)
+        icache, dcache, l2 = batch._warm_caches(np, arrays, memory)
+        _meta(
+            report, result,
+            icache._sets == warmed.icache._sets
+            and batch._image_rows(dcache) == warmed.dcache._sets
+            and batch._image_rows(l2) == warmed.l2._sets,
+            "meta_warm_image",
+            f"post-warm cache images built from the columns differ from "
+            f"MemorySystem.warm under {name}",
+            config=name,
+        )
 
 
 def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
@@ -285,6 +333,9 @@ def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
             f"differs from the graph rebuilt on it",
             start=start, length=length,
         )
+
+    # -- columns: dump -> load keeps them; warm images from them ----------
+    _check_columns(baseline, report, result)
 
     # -- differential oracle -------------------------------------------------
     if differential:
