@@ -57,16 +57,11 @@ from repro.registry import (
     EXECUTORS,
     SCHEME_RECIPES,
     SIMULATORS,
-    WORKLOAD_FAMILIES,
     component_identity,
 )
 from repro.trace.dynamic import Trace
-from repro.workloads import (
-    Workload,
-    WorkloadProfile,
-    build_workload,
-    get_profile,
-)
+from repro.workloads import Workload, WorkloadProfile, get_profile
+from repro.workloads.generator import generate as build_workload
 
 def _env_int(name: str, default: int, minimum: int = 1) -> int:
     """An integer environment override, degrading to ``default``.
@@ -93,7 +88,7 @@ def _env_int(name: str, default: int, minimum: int = 1) -> int:
 #: Dynamic block budget for generated walks (env-overridable).
 DEFAULT_WALK_BLOCKS = _env_int("REPRO_WALK_BLOCKS", 700)
 
-_workloads: Dict[Tuple[str, int, str], "AppContext"] = {}
+_workloads: Dict[Tuple[str, int], "AppContext"] = {}
 
 
 def default_jobs() -> int:
@@ -112,10 +107,6 @@ class AppContext:
     """
 
     app_profile: WorkloadProfile
-    #: workload family (scenario generator) this context builds under;
-    #: see :data:`repro.registry.WORKLOAD_FAMILIES`.  Non-default
-    #: families fold their versioned identity into every cache key.
-    workload_family: str = "default"
     profile: Optional[CriticProfile] = None
     _workload: Optional[Workload] = None
     _traces: Dict[str, Trace] = field(default_factory=dict)
@@ -125,21 +116,12 @@ class AppContext:
     def name(self) -> str:
         return self.app_profile.name
 
-    def _family_key_params(self) -> Dict[str, str]:
-        """Cache-key params for the family: empty for ``default`` so
-        existing default-family keys stay byte-identical."""
-        if self.workload_family == "default":
-            return {}
-        return {"workload_family":
-                WORKLOAD_FAMILIES.identity(self.workload_family)}
-
     @property
     def workload(self) -> Workload:
         """The generated program/walk/memory (built on first touch)."""
         if self._workload is None:
             with telemetry.phase("generate"):
-                self._workload = build_workload(self.workload_family,
-                                                self.app_profile)
+                self._workload = build_workload(self.app_profile)
         return self._workload
 
     def trace(self) -> Trace:
@@ -149,8 +131,7 @@ class AppContext:
             return trace
         cache = get_cache()
         key = artifact_key("trace", profile=self.app_profile,
-                           scheme="baseline",
-                           **self._family_key_params())
+                           scheme="baseline")
         trace = cache.load_trace(key)
         if trace is None:
             with telemetry.phase("materialize"):
@@ -175,7 +156,7 @@ class AppContext:
         )
         cache = get_cache()
         key = artifact_key("critic_profile", profile=self.app_profile,
-                           finder=config, **self._family_key_params())
+                           finder=config)
         profile = cache.load_profile(key)
         if profile is None:
             with telemetry.phase("find_critic_profile"):
@@ -210,7 +191,6 @@ class AppContext:
             max_length=max_length,
             profiled_fraction=profiled_fraction,
             finder=FinderConfig(profiled_fraction=profiled_fraction),
-            **self._family_key_params(),
         )
 
     def scheme_trace(self, scheme: str, max_length: int = 5,
@@ -251,7 +231,6 @@ class AppContext:
             finder=FinderConfig(profiled_fraction=profiled_fraction),
             config=config,
             components=component_identity(config),
-            **self._family_key_params(),
         )
 
     def cached_stats(self, scheme: str = "baseline",
@@ -305,18 +284,16 @@ class AppContext:
 
 
 def app_context(name: str,
-                walk_blocks: Optional[int] = None,
-                workload_family: str = "default") -> AppContext:
+                walk_blocks: Optional[int] = None) -> AppContext:
     """Get (and memoize) the :class:`AppContext` for one app/benchmark."""
     blocks = walk_blocks if walk_blocks is not None else DEFAULT_WALK_BLOCKS
-    key = (name, blocks, workload_family)
+    key = (name, blocks)
     if key not in _workloads:
         base = get_profile(name)
         # Same scaling `generate()` would apply, hoisted here so the scaled
         # profile can serve as the cache-key record without generating.
         scaled = base.scaled(blocks / base.walk_blocks)
-        _workloads[key] = AppContext(app_profile=scaled,
-                                     workload_family=workload_family)
+        _workloads[key] = AppContext(app_profile=scaled)
     return _workloads[key]
 
 
@@ -364,7 +341,6 @@ class ConfigSet(tuple):
 
 def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
               configs: ConfigSet, engine: Optional[str] = None,
-              workload_family: str = "default",
               ) -> Tuple[str, Dict[Tuple[str, str], SimStats]]:
     """Worker body: compute ``schemes`` x ``configs`` for one app.
 
@@ -373,7 +349,7 @@ def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
     :func:`repro.cpu.batch.simulate_batch`); any other engine runs the
     cells one by one through :meth:`AppContext.stats`.
     """
-    ctx = app_context(name, blocks, workload_family)
+    ctx = app_context(name, blocks)
     cells: Dict[Tuple[str, str], SimStats] = {}
     for scheme in schemes:
         if engine == "batch":
@@ -454,7 +430,6 @@ CachedCell = Tuple[str, str, str, SimStats]
 
 def probe_grid(apps: Sequence[str], schemes: Sequence[str],
                configs: Sequence[CpuConfig], blocks: int,
-               workload_family: str,
                ) -> Tuple[List[CachedCell], List[MissingCell]]:
     """Walk the memo and the disk cache once over the grid.
 
@@ -466,7 +441,7 @@ def probe_grid(apps: Sequence[str], schemes: Sequence[str],
     cached: List[CachedCell] = []
     missing: List[MissingCell] = []
     for name in apps:
-        ctx = app_context(name, blocks, workload_family)
+        ctx = app_context(name, blocks)
         for config in configs:
             for scheme in schemes:
                 stats = ctx.cached_stats(scheme, config)
@@ -502,8 +477,8 @@ class CellGroup:
                         inline_kwargs={"capture_telemetry": False})
 
 
-def group_cells(cells: Sequence[MissingCell], blocks: int, engine: str,
-                workload_family: str) -> List[CellGroup]:
+def group_cells(cells: Sequence[MissingCell], blocks: int,
+                engine: str) -> List[CellGroup]:
     """Group missing cells into dispatch tasks, in first-seen order.
 
     The inline engine runs one group per app x config holding its
@@ -511,7 +486,7 @@ def group_cells(cells: Sequence[MissingCell], blocks: int, engine: str,
     amortizes the cycle loop across the configs of one trace, so its
     groups run the other way: one per app x scheme holding the missing
     configs, id ``"{app}|{scheme}|batch"``.  Either way a group's
-    arguments are ``(app, blocks, schemes, configs, engine, family)``
+    arguments are ``(app, blocks, schemes, configs, engine)``
     for :func:`_run_cell`.  The ids are part of the contract: a seeded
     ``REPRO_DISPATCH_FAULTS`` plan draws on them.
 
@@ -541,19 +516,18 @@ def group_cells(cells: Sequence[MissingCell], blocks: int, engine: str,
             configs = ConfigSet((members[0].config,))
         groups.append(CellGroup(
             id=group_id, cells=tuple(members),
-            args=(name, blocks, schemes, configs, engine,
-                  workload_family)))
+            args=(name, blocks, schemes, configs, engine)))
     return groups
 
 
-def absorb_cells(name: str, blocks: int, workload_family: str,
+def absorb_cells(name: str, blocks: int,
                  cells: Dict[Tuple[str, str], SimStats],
                  results: Optional[Dict[str, Dict[Tuple[str, str],
                                                   SimStats]]] = None,
                  ) -> None:
     """Write one task's returned cells into the app's in-process memo,
     and into ``results[name]`` when the caller keeps a results map."""
-    app_context(name, blocks, workload_family)._stats.update(cells)
+    app_context(name, blocks)._stats.update(cells)
     if results is not None:
         results[name].update(cells)
 
@@ -683,8 +657,8 @@ def _run_extra(engine: str, batch_since: _Samples) -> Dict[str, object]:
 
 
 def grid_manifest_fields(apps: Sequence[str], schemes: Sequence[str],
-                         configs: Sequence[CpuConfig], blocks: int,
-                         workload_family: str) -> Dict[str, object]:
+                         configs: Sequence[CpuConfig],
+                         blocks: int) -> Dict[str, object]:
     """The :func:`record_run` keywords that describe one grid: every
     front that runs a grid records it the same way."""
     return {
@@ -692,11 +666,10 @@ def grid_manifest_fields(apps: Sequence[str], schemes: Sequence[str],
         "schemes": list(schemes),
         "configs": [config.name for config in configs],
         "walk_blocks": blocks,
-        "seeds": {name: app_context(name, blocks, workload_family)
-                  .app_profile.seed for name in apps},
+        "seeds": {name: app_context(name, blocks).app_profile.seed
+                  for name in apps},
         "components": {config.name: component_identity(config)
                        for config in configs},
-        "workload_family": WORKLOAD_FAMILIES.identity(workload_family),
     }
 
 
@@ -707,7 +680,6 @@ def run_apps(apps: Sequence[str],
              walk_blocks: Optional[int] = None,
              executor: Optional[str] = None,
              engine: Optional[str] = None,
-             workload_family: Optional[str] = None,
              ) -> Dict[str, Dict[Tuple[str, str], SimStats]]:
     """Compute stats for an app x scheme x config grid, in parallel.
 
@@ -740,18 +712,15 @@ def run_apps(apps: Sequence[str],
     blocks = walk_blocks if walk_blocks is not None else DEFAULT_WALK_BLOCKS
     schemes = tuple(schemes)
     engine_name = resolve_engine(engine)
-    family = workload_family or "default"
-    WORKLOAD_FAMILIES.entry(family)  # unknown families fail loudly
     batch_since = _batch_samples()
     started = time.perf_counter()
     with telemetry.span("run_apps", apps=len(apps),
                         schemes=",".join(schemes)):
         results = _run_apps_grid(apps, schemes, jobs, configs, blocks,
-                                 executor, engine_name, family)
+                                 executor, engine_name)
     record_run("run_apps", wall_s=time.perf_counter() - started,
                extra=_run_extra(engine_name, batch_since),
-               **grid_manifest_fields(apps, schemes, configs, blocks,
-                                      family))
+               **grid_manifest_fields(apps, schemes, configs, blocks))
     return results
 
 
@@ -763,7 +732,6 @@ def _run_apps_grid(
     blocks: int,
     executor: Optional[str] = None,
     engine: str = "batch",
-    workload_family: str = "default",
 ) -> Dict[str, Dict[Tuple[str, str], SimStats]]:
     """The probe + executor fan-out body of :func:`run_apps`."""
     global _last_report
@@ -771,8 +739,7 @@ def _run_apps_grid(
         name: {} for name in apps
     }
     with telemetry.phase("run_apps.probe"):
-        cached, missing = probe_grid(apps, schemes, configs, blocks,
-                                     workload_family)
+        cached, missing = probe_grid(apps, schemes, configs, blocks)
     for name, scheme, config_name, stats in cached:
         results[name][(scheme, config_name)] = stats
 
@@ -780,7 +747,7 @@ def _run_apps_grid(
     if not missing:
         return results
     tasks = [group.task(_cell_task) for group in
-             group_cells(missing, blocks, engine, workload_family)]
+             group_cells(missing, blocks, engine)]
     workers = jobs if jobs is not None else default_jobs()
     workers = min(max(1, workers), len(tasks))
 
@@ -812,7 +779,7 @@ def _run_apps_grid(
             name, cells, snap = result.value
             if snap is not None:
                 telemetry.merge_snapshot(snap)
-            absorb_cells(name, blocks, workload_family, cells, results)
+            absorb_cells(name, blocks, cells, results)
 
     _last_report = DispatchReport(
         executor=EXECUTORS.identity(backend),

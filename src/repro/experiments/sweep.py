@@ -51,7 +51,6 @@ from repro.registry import (
     PREFETCHERS,
     SCHEME_RECIPES,
     SIMULATORS,
-    WORKLOAD_FAMILIES,
     all_registries,
 )
 from repro.telemetry import span
@@ -83,13 +82,6 @@ class SweepSpec:
     #: (``None`` means ``batch``); engines are bit-identical, so this
     #: changes wall time, never numbers
     engine: Optional[str] = None
-    #: workload family (scenario generator), by
-    #: :data:`~repro.registry.WORKLOAD_FAMILIES` name (``None`` means
-    #: the ``default`` catalog generator).  Unlike ``engine``, the
-    #: family *changes the numbers*, so its versioned identity folds
-    #: into the stats cache keys and the manifest ``config_hash``
-    #: whenever it is not ``default``.
-    workload_family: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe payload form — what ``repro.serve`` jobs and the
@@ -103,7 +95,7 @@ class SweepSpec:
         if self.prefetchers:
             record["prefetchers"] = list(self.prefetchers)
         for key in ("icache_policy", "branch_predictor", "walk_blocks",
-                    "jobs", "executor", "engine", "workload_family"):
+                    "jobs", "executor", "engine"):
             value = getattr(self, key)
             if value is not None:
                 record[key] = value
@@ -156,8 +148,6 @@ class SweepSpec:
             EXECUTORS.identity(self.executor)
         if self.engine is not None:
             SIMULATORS.identity(self.engine)
-        if self.workload_family is not None:
-            WORKLOAD_FAMILIES.identity(self.workload_family)
 
     def resolve_configs(self) -> Tuple[CpuConfig, ...]:
         """Materialize the named configs with the overrides applied."""
@@ -241,15 +231,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         grid = run_apps(
             spec.apps, spec.schemes, jobs=spec.jobs, configs=configs,
             walk_blocks=spec.walk_blocks, executor=spec.executor,
-            engine=spec.engine, workload_family=spec.workload_family,
+            engine=spec.engine,
         )
     blocks = spec.walk_blocks if spec.walk_blocks is not None \
         else DEFAULT_WALK_BLOCKS
     record_run("sweep", wall_s=time.perf_counter() - started,
                extra=_run_extra(resolve_engine(spec.engine), batch_since),
                **grid_manifest_fields(spec.apps, spec.schemes, configs,
-                                      blocks,
-                                      spec.workload_family or "default"))
+                                      blocks))
     return SweepResult(spec=spec, configs=configs, grid=grid)
 
 
@@ -269,9 +258,8 @@ def list_components() -> str:
     """Render every registry's contents (the ``--list`` output).
 
     Enumerates :func:`repro.registry.all_registries`, so a newly added
-    registry (like the workload families) appears here — and in the
-    serve ``/healthz`` payload, which reads the same source — without
-    touching this function.
+    registry appears here — and in the serve ``/healthz`` payload, which
+    reads the same source — without touching this function.
     """
     lines: List[str] = []
     for key, registry in all_registries().items():
@@ -321,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default batch, the C kernel with a "
                              "per-cell inline fallback; bit-identical "
                              "results either way)")
-    parser.add_argument("--workload-family", default=None, metavar="NAME",
-                        help="workload family (scenario generator): "
-                             "default, phased, bursty, zipfian-footprint, "
-                             "netbound, vecmobile, or trace-replay "
-                             "(changes the numbers; folded into cache "
-                             "keys and config_hash when not default)")
     parser.add_argument("--progress", action="store_true",
                         help="render a live progress line (cells done/"
                              "cached/retried/fallback, instr/s) from "
@@ -357,7 +339,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         jobs=args.jobs,
         executor=args.executor,
         engine=args.engine,
-        workload_family=args.workload_family,
     )
     try:
         if args.progress:

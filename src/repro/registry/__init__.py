@@ -2,7 +2,7 @@
 
 The evaluation is a grid of apps x compiler schemes x hardware variants;
 every axis of that grid — and the machinery that *executes* it — is a
-named component living in one of eight registries:
+named component living in one of seven registries:
 
 ==========================  ============================================
 registry                    components (built-ins)
@@ -24,11 +24,6 @@ registry                    components (built-ins)
                             :mod:`repro.dispatch`)
 :data:`SIMULATORS`          ``inline``, ``batch`` (cycle-simulation
                             engines; see :mod:`repro.cpu.engines`)
-:data:`WORKLOAD_FAMILIES`   ``default``, ``phased``, ``bursty``,
-                            ``zipfian-footprint``, ``netbound``,
-                            ``vecmobile``, ``trace-replay`` (scenario
-                            generators; see
-                            :mod:`repro.workloads.patterns`)
 ==========================  ============================================
 
 Built-ins self-register at import of their home modules; the registries
@@ -61,7 +56,6 @@ from repro.registry.protocols import (
     PrefetcherBase,
     ReplacementPolicy,
     SchemeRecipe,
-    WorkloadFamily,
 )
 
 #: name -> zero-arg factory producing a ``CpuConfig``.
@@ -106,21 +100,8 @@ SIMULATORS = Registry(
     "simulation engine", providers=("repro.cpu.engines",),
 )
 
-#: name -> zero-arg factory producing a :class:`WorkloadFamily` — a
-#: *scenario generator* that builds a complete workload (program + walk
-#: + memory model) from one seeded profile.  ``default`` is the Table II
-#: catalog generator; the others reshape the stream (phases, bursts,
-#: Zipfian code footprints, latency-bound stalls, vectorizable kernels)
-#: or replay a recorded trace artifact.  Unlike engines/executors, the
-#: family *changes the numbers*, so its identity folds into stats cache
-#: keys and the manifest ``config_hash`` whenever it is not ``default``.
-WORKLOAD_FAMILIES = Registry(
-    "workload family", providers=("repro.workloads.patterns",),
-)
-
-
 def all_registries() -> Dict[str, Registry]:
-    """The eight component registries in canonical display order.
+    """The seven component registries in canonical display order.
 
     Keyed by a snake_case section name; ``sweep --list`` and the serve
     ``/healthz`` payload both enumerate from here, so a newly added
@@ -134,7 +115,6 @@ def all_registries() -> Dict[str, Registry]:
         "prefetchers": PREFETCHERS,
         "executors": EXECUTORS,
         "simulators": SIMULATORS,
-        "workload_families": WORKLOAD_FAMILIES,
     }
 
 
@@ -175,8 +155,6 @@ __all__ = [
     "SCHEME_RECIPES",
     "SIMULATORS",
     "SchemeRecipe",
-    "WORKLOAD_FAMILIES",
-    "WorkloadFamily",
     "all_registries",
     "component_identity",
 ]

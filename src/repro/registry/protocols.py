@@ -21,9 +21,6 @@ which is what makes a registered third-party component a drop-in:
 * :class:`Executor` — how the sweep engine runs a batch of cells:
   ``submit``/``drain``/``shutdown``, returning per-task attempt records
   (see :mod:`repro.dispatch`).
-* :class:`WorkloadFamily` — a scenario generator: builds a complete
-  ``Workload`` (program + walk + memory model) from one seeded
-  ``WorkloadProfile`` (see :mod:`repro.workloads.patterns`).
 """
 
 from __future__ import annotations
@@ -151,16 +148,3 @@ class Prefetcher(Protocol):
 
     def observe_fetch(self, line: int, critical: bool) -> List[int]: ...
 
-
-class WorkloadFamily(Protocol):
-    """A scenario generator: one seeded profile in, one ``Workload`` out.
-
-    Factories registered under :data:`repro.registry.WORKLOAD_FAMILIES`
-    are zero-arg (classes work directly); the resulting object's
-    ``build`` must be deterministic in ``profile`` — same profile (and
-    seed), bit-identical workload — because family identity plus the
-    profile record *is* the artifact-cache key for everything derived
-    from the workload.
-    """
-
-    def build(self, profile: Any) -> Any: ...

@@ -248,8 +248,8 @@ class ServeServer:
             "cache": {"hits": cache.hits, "misses": cache.misses,
                       "backend": cache.backend_spec()},
             # Every component registry, by versioned identity — clients
-            # discover what this server can sweep (including the
-            # workload families) without a round trip per kind.
+            # discover what this server can sweep without a round trip
+            # per kind.
             "registries": {
                 kind: [registry.identity(name)
                        for name in registry.names()]
@@ -424,12 +424,10 @@ class ServeServer:
                        job: _Job) -> AsyncIterator[Dict[str, Any]]:
         spec = job.spec
         engine = resolve_engine(spec.engine)
-        family = spec.workload_family or "default"
         # Probe the warm path first: memo + disk cache, no fleet.
         probe_started = time.perf_counter()
         cached, missing = await asyncio.to_thread(
-            probe_grid, spec.apps, spec.schemes, job.configs, job.blocks,
-            family)
+            probe_grid, spec.apps, spec.schemes, job.configs, job.blocks)
         probe_wall = time.perf_counter() - probe_started
         total = len(spec.apps) * len(spec.schemes) * len(job.configs)
         yield {"type": "accepted", "id": job.client_id, "job": job.id,
@@ -456,7 +454,7 @@ class ServeServer:
         for index, cell in enumerate(missing):
             fut = self._inflight.get(cell.key)
             stats = None if fut is not None else app_context(
-                cell.app, job.blocks, family).memoized(
+                cell.app, job.blocks).memoized(
                     cell.scheme, cell.config.name)
             if stats is not None:
                 finished.append((cell, stats))
@@ -479,7 +477,7 @@ class ServeServer:
 
         prefix = f"{job.id}|"
         groups = {prefix + group.id: group for group in
-                  group_cells(own, job.blocks, engine, family)}
+                  group_cells(own, job.blocks, engine)}
         job.pending.update(groups)
         try:
             for cell, stats in finished:
@@ -508,7 +506,7 @@ class ServeServer:
                     if snap is not None:
                         telemetry.merge_snapshot(snap)
                         job.batch.append(_batch_samples_of(snap))
-                    absorb_cells(name, job.blocks, family, cells)
+                    absorb_cells(name, job.blocks, cells)
                     wall = sum(a.wall_s for a in item.attempts
                                if a.outcome == "ok") / len(group.cells)
                     outcomes = [("ok", cells[(cell.scheme,
@@ -618,8 +616,7 @@ class ServeServer:
                 "serve", wall_s=wall,
                 extra=extra,
                 **grid_manifest_fields(spec.apps, spec.schemes,
-                                       job.configs, job.blocks,
-                                       spec.workload_family or "default"))
+                                       job.configs, job.blocks))
         except OSError:
             pass
 

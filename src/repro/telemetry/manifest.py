@@ -61,7 +61,6 @@ def build_manifest(
     seeds: Dict[str, int],
     wall_s: float,
     components: Optional[Dict[str, Any]] = None,
-    workload_family: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest record for one finished run.
@@ -71,12 +70,6 @@ def build_manifest(
     given it becomes part of the invocation record, so the
     ``config_hash`` distinguishes runs that differ only in which
     registered components (or component versions) they composed.
-
-    ``workload_family`` (a versioned identity like ``"bursty@1"``) is
-    always recorded at the top level when given, but joins the
-    invocation record — and therefore ``config_hash`` — only when it
-    is not the ``default`` catalog generator, so default-family hashes
-    are byte-identical to pre-family manifests.
     """
     cache = get_cache()
     invocation = {
@@ -90,9 +83,6 @@ def build_manifest(
         invocation["components"] = {
             name: components[name] for name in sorted(components)
         }
-    if workload_family is not None \
-            and workload_family.split("@", 1)[0] != "default":
-        invocation["workload_family"] = workload_family
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
         "kind": kind,
@@ -100,8 +90,6 @@ def build_manifest(
         "created_unix": time.time(),
         "pid": os.getpid(),
         **invocation,
-        **({"workload_family": workload_family}
-           if workload_family is not None else {}),
         "cache": {"hits": cache.hits, "misses": cache.misses,
                   "backend": cache.backend_spec()},
         "wall_s": wall_s,
@@ -165,7 +153,6 @@ def record_run(
     seeds: Dict[str, int],
     wall_s: float,
     components: Optional[Dict[str, Any]] = None,
-    workload_family: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Optional[Path]:
     """:func:`build_manifest` + :func:`write_manifest` in one call.
@@ -180,8 +167,7 @@ def record_run(
     return write_manifest(build_manifest(
         kind, apps=apps, schemes=schemes, configs=configs,
         walk_blocks=walk_blocks, seeds=seeds, wall_s=wall_s,
-        components=components, workload_family=workload_family,
-        extra=extra,
+        components=components, extra=extra,
     ))
 
 

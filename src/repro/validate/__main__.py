@@ -59,12 +59,6 @@ def main(argv=None) -> int:
                         help="validate a catalog app (repeatable)")
     parser.add_argument("--no-differential", action="store_true",
                         help="skip the in-order differential oracle")
-    parser.add_argument("--families", action="store_true",
-                        help="end the fuzz campaign with the workload-"
-                             "family metamorphic (every registered "
-                             "family: determinism, PerfectBr/4xI$ "
-                             "dominance, trace-replay round trip, "
-                             "differential oracle)")
     parser.add_argument("--report", default="validate-report.json",
                         help="violation report path (written on failure)")
     args = parser.parse_args(argv)
@@ -95,7 +89,6 @@ def main(argv=None) -> int:
         result = run_fuzz(
             args.fuzz, seed=args.seed, walk_blocks=args.walk_blocks,
             differential=not args.no_differential,
-            families=args.families,
             progress=lambda line: print(line, flush=True),
         )
         checked += result.properties_checked

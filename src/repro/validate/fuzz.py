@@ -37,7 +37,7 @@ must hold between runs regardless of the absolute numbers:
   Fig 11 memory configuration and the TRRIP i-cache.
 
 That one grid gives the same ``SimStats`` under every engine, executor,
-cache state, workload family and front is not a fuzz property: the
+cache state and front is not a fuzz property: the
 table in ``tests/test_identity_matrix.py`` asserts it in tier-1.
 
 Both new registered components (the TRRIP i-cache policy and the
@@ -362,114 +362,14 @@ def fuzz_iteration(profile: WorkloadProfile, result: FuzzResult,
     return report
 
 
-def family_metamorphic(rng: random.Random, result: FuzzResult,
-                       walk_blocks: int = 100) -> ValidationReport:
-    """Every workload family, four metamorphic properties per family.
-
-    For each registered family except ``trace-replay`` (which is the
-    round-trip target, not a generator):
-
-    * **Determinism** — two builds from the same seeded profile produce
-      bit-identical traces; family identity plus the profile is the
-      cache key, so this is load-bearing, not cosmetic.
-    * **PerfectBr dominance** — oracle branch prediction never slows a
-      family's stream down.
-    * **4xI$ dominance** — quadrupled i-cache capacity never misses
-      more, whatever the family did to the code footprint.
-    * **Replay round-trip** — recording the family's trace and
-      rebuilding a workload from it via :func:`replay_workload` yields
-      the recording back bit-identically (same entries, same
-      ``SimStats``).
-
-    Each family's baseline trace also runs under the in-order
-    differential oracle.
-    """
-    from repro.registry import WORKLOAD_FAMILIES
-    from repro.workloads import build_workload, replay_workload
-
-    report = ValidationReport(trace_name="families",
-                              config_name="metamorphic")
-    base = rng.choice(sorted(ALL_PROFILES.values(), key=lambda p: p.name))
-    profile = replace(
-        base,
-        name=f"family-{base.name}",
-        seed=rng.randrange(1, 1 << 30),
-        num_functions=min(base.num_functions, 36),
-        walk_blocks=walk_blocks,
-    )
-
-    def run(trace, config: CpuConfig) -> SimStats:
-        result.simulations += 1
-        return simulate(trace, config, engine="inline")
-
-    for family in WORKLOAD_FAMILIES.names():
-        if family == "trace-replay":
-            continue
-        trace = build_workload(family, profile).trace()
-        again = build_workload(family, profile).trace()
-        _meta(
-            report, result, list(trace) == list(again),
-            "meta_family_determinism",
-            f"family {family} is not deterministic for "
-            f"seed={profile.seed}",
-            family=family,
-        )
-        tablet = run(trace, GOOGLE_TABLET)
-        perfect = run(trace, config_perfect_br())
-        _meta(
-            report, result, perfect.cycles <= tablet.cycles,
-            "meta_family_perfect_branch",
-            f"family {family}: perfect branch prediction slower than "
-            f"the real predictor ({perfect.cycles} vs "
-            f"{tablet.cycles} cycles)",
-            family=family,
-        )
-        big_icache = run(trace, config_4x_icache())
-        _meta(
-            report, result,
-            big_icache.icache_misses <= tablet.icache_misses,
-            "meta_family_icache_capacity",
-            f"family {family}: 4x i-cache missed more "
-            f"({big_icache.icache_misses} vs {tablet.icache_misses})",
-            family=family,
-        )
-        replayed = replay_workload(profile, trace)
-        replay_trace = replayed.trace()
-        _meta(
-            report, result, list(replay_trace) == list(trace),
-            "meta_family_replay",
-            f"family {family}: trace-replay round trip changed the "
-            f"trace entries",
-            family=family,
-        )
-        _meta(
-            report, result, run(replay_trace, GOOGLE_TABLET) == tablet,
-            "meta_family_replay",
-            f"family {family}: SimStats differ between the recording "
-            f"and its replay",
-            family=family,
-        )
-        result.reports.append(
-            differential_check(trace, GOOGLE_TABLET, ooo_stats=tablet)
-        )
-    result.reports.append(report)
-    return report
-
-
 def run_fuzz(
     iterations: int,
     seed: int = 3,
     walk_blocks: int = 120,
     differential: bool = True,
-    families: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzResult:
-    """Run ``iterations`` fuzz rounds; deterministic for a given seed.
-
-    With ``families=True`` the campaign ends with one
-    :func:`family_metamorphic` round covering every registered workload
-    family.
-    """
+    """Run ``iterations`` fuzz rounds; deterministic for a given seed."""
     rng = random.Random(seed)
     result = FuzzResult()
     for index in range(iterations):
@@ -483,11 +383,4 @@ def run_fuzz(
                 f"[{index + 1}/{iterations}] {profile.name} "
                 f"(seed={profile.seed}): {status}"
             )
-    if families:
-        report = family_metamorphic(rng, result,
-                                    walk_blocks=min(walk_blocks, 100))
-        result.iterations += 1
-        if progress is not None:
-            status = "ok" if report.ok else "FAIL"
-            progress(f"[families] workload-family metamorphics: {status}")
     return result

@@ -18,13 +18,6 @@ from repro.workloads.generator import (
     Workload,
     generate,
 )
-from repro.workloads.patterns import (
-    ReplayMemoryModel,
-    build_workload,
-    record_replay_source,
-    replay_source_key,
-    replay_workload,
-)
 from repro.workloads.profiles import (
     ALL_PROFILES,
     MOBILE,
@@ -53,18 +46,13 @@ __all__ = [
     "SPEC_FLOAT_PROFILES",
     "SPEC_INT",
     "SPEC_INT_PROFILES",
-    "ReplayMemoryModel",
     "Workload",
     "WorkloadProfile",
-    "build_workload",
     "format_table2",
     "generate",
     "get_profile",
     "mobile_app_names",
     "profiles_in_group",
-    "record_replay_source",
-    "replay_source_key",
-    "replay_workload",
     "spec_float_names",
     "spec_int_names",
     "table2_rows",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.condition import Cond
 from repro.isa.instruction import Instruction
@@ -528,9 +528,10 @@ class _Builder:
             self._emit(out, opcode=Opcode.CMP, srcs=BASE_REGS)
         self._emit(out, opcode=opcode, cond=cond, target=target)
 
-    def build_function(self, fn_index: int, callee_pool: Sequence[int]) -> FunctionInfo:
+    def build_function(self, fn_index: int) -> None:
         rng = self.rng
         prof = self.profile
+        callee_pool = list(range(fn_index + 1, prof.num_functions))
         n_body = rng.randint(*prof.blocks_per_function)
 
         entry = self._new_block()
@@ -590,25 +591,10 @@ class _Builder:
         ret.instructions = []
         self._emit(ret.instructions, opcode=Opcode.BX, srcs=(14,))
         self.functions.append(info)
-        return info
 
     def build(self) -> Tuple[Program, List[FunctionInfo]]:
-        prof = self.profile
-        for fn_index in range(prof.num_functions):
-            callee_pool = list(range(fn_index + 1, prof.num_functions))
-            self.build_function(fn_index, callee_pool)
-        return self.finish()
-
-    def finish(self) -> Tuple[Program, List[FunctionInfo]]:
-        """Patch BL targets and assemble the :class:`Program`.
-
-        Split out of :meth:`build` so workload *families*
-        (:mod:`repro.workloads.patterns`) can drive
-        :meth:`build_function` per function — swapping regime profiles
-        between calls — and still get the same call-patching and
-        program-assembly semantics.  Functions must have been built in
-        increasing ``fn_index`` order (``self.functions[i].index == i``).
-        """
+        for fn_index in range(self.profile.num_functions):
+            self.build_function(fn_index)
         # Patch BL targets from callee function index to entry block id.
         for info in self.functions:
             block_ids = info.body_blocks

@@ -9,14 +9,14 @@ so every batch leg runs kernel cells *and* one load-observing fallback)
 down one path, and compares every cell with a reference computed by the
 inline engine on the inline executor with the cache off.
 
-The axes are engine x executor x cache state x workload family x front
-(direct ``run_sweep`` or a served sweep).  ``LEGS`` is a pairwise-covering
+The axes are engine x executor x cache state x front (direct
+``run_sweep`` or a served sweep).  ``LEGS`` is a pairwise-covering
 table: every pair of values of any two axes appears in at least one leg
 (``test_legs_cover_every_pair_of_axis_values`` checks this).  Each leg
 also checks that its manifest names the path it took.
 
 The degraded rows (no C compiler, corrupt artifact, killed worker, busy
-server) each run the default-family grid down one degraded path and
+server) each run the grid down one degraded path and
 check the same reference plus the manifest's record of the degradation.
 
 Engine and executor are deliberately kept out of cache keys, so a leg
@@ -51,20 +51,19 @@ AXES = {
     "engine": ("inline", "batch"),
     "executor": ("inline", "fleet"),
     "cache": ("cold", "warm"),
-    "family": ("default", "netbound", "trace-replay"),
     "front": ("direct", "served"),
 }
 
-#: (engine, executor, cache, family, front): the two legs of a family
-#: differ on every other axis, and the three families' leg pairs mix the
-#: other axes so that every pair of values meets.
+#: (engine, executor, cache, front): the first two legs differ on every
+#: axis, and the other four mix the axes so that every pair of values
+#: meets.
 LEGS = (
-    ("inline", "inline", "cold", "default", "direct"),
-    ("batch", "fleet", "warm", "default", "served"),
-    ("inline", "inline", "warm", "netbound", "served"),
-    ("batch", "fleet", "cold", "netbound", "direct"),
-    ("inline", "fleet", "cold", "trace-replay", "served"),
-    ("batch", "inline", "warm", "trace-replay", "direct"),
+    ("inline", "inline", "cold", "direct"),
+    ("batch", "fleet", "warm", "served"),
+    ("inline", "inline", "warm", "served"),
+    ("batch", "fleet", "cold", "direct"),
+    ("inline", "fleet", "cold", "served"),
+    ("batch", "inline", "warm", "direct"),
 )
 
 
@@ -83,30 +82,28 @@ def _isolated(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def reference():
-    """``family -> {(scheme, config): to_dict()}`` from the inline engine
-    on the inline executor, with the artifact cache off."""
-    cells = {}
+    """``{(scheme, config): to_dict()}`` from the inline engine on the
+    inline executor, with the artifact cache off."""
     with pytest.MonkeyPatch.context() as env:
         env.setenv("REPRO_CACHE", "0")
-        for family in AXES["family"]:
-            reset_cache()
-            runner.clear_cache()
-            ctx = runner.app_context(APP, WALK, family)
-            cells[family] = {
-                (scheme, config): ctx.stats(
-                    scheme, HARDWARE_CONFIGS.create(config),
-                    engine="inline").to_dict()
-                for scheme in SCHEMES for config in CONFIGS
-            }
+        reset_cache()
+        runner.clear_cache()
+        ctx = runner.app_context(APP, WALK)
+        cells = {
+            (scheme, config): ctx.stats(
+                scheme, HARDWARE_CONFIGS.create(config),
+                engine="inline").to_dict()
+            for scheme in SCHEMES for config in CONFIGS
+        }
     reset_cache()
     runner.clear_cache()
     return cells
 
 
 @pytest.fixture(scope="module")
-def family_hashes():
-    """``family -> config_hash`` of the first leg of that family run."""
-    return {}
+def config_hashes():
+    """Every leg's manifest ``config_hash``: the legs must all agree."""
+    return set()
 
 
 def _last_manifest():
@@ -121,23 +118,23 @@ def _counter(manifest, name, **labels):
                if dict(map(tuple, key)) == labels)
 
 
-def _sweep_direct(engine="inline", executor="inline", family="default"):
+def _sweep_direct(engine="inline", executor="inline"):
     """``(cells, manifest, None)`` of one direct ``run_sweep``."""
     result = run_sweep(SweepSpec(
         apps=(APP,), schemes=SCHEMES, configs=CONFIGS, walk_blocks=WALK,
         jobs=2 if executor == "fleet" else 1, executor=executor,
-        engine=engine, workload_family=family,
+        engine=engine,
     ))
     cells = {(scheme, config): result.cell(APP, scheme, config).to_dict()
              for scheme in SCHEMES for config in CONFIGS}
     return cells, _last_manifest(), None
 
 
-def _sweep_served(address, engine, family):
+def _sweep_served(address, engine):
     """``(cells, manifest, done record)`` of one served sweep."""
     spec = {"apps": [APP], "schemes": list(SCHEMES),
             "configs": list(CONFIGS), "walk_blocks": WALK,
-            "engine": engine, "workload_family": family}
+            "engine": engine}
     with ServeClient(address, timeout_s=120) as client:
         records = list(client.sweep(spec))
     cells = {(r["scheme"], r["config"]): r["stats"]
@@ -146,16 +143,16 @@ def _sweep_served(address, engine, family):
 
 
 @contextmanager
-def _front(front, engine, executor, family):
+def _front(front, engine, executor):
     """A zero-argument callable running the leg's grid once."""
     if front == "direct":
-        yield lambda: _sweep_direct(engine, executor, family)
+        yield lambda: _sweep_direct(engine, executor)
         return
     server = _ServerThread(
         executor=executor, workers=2 if executor == "fleet" else None,
         wire_port=0, http_port=0, policy=FAST)
     try:
-        yield lambda: _sweep_served(server.wire, engine, family)
+        yield lambda: _sweep_served(server.wire, engine)
     finally:
         server.stop()
 
@@ -172,22 +169,21 @@ def test_legs_cover_every_pair_of_axis_values():
         assert not missing, (a, b, missing)
 
 
-@pytest.mark.parametrize("engine,executor,cache,family,front", LEGS,
+@pytest.mark.parametrize("engine,executor,cache,front", LEGS,
                          ids=["-".join(leg) for leg in LEGS])
-def test_leg_matches_the_reference(engine, executor, cache, family,
-                                   front, reference, family_hashes):
-    expected = reference[family]
-    with _front(front, engine, executor, family) as run:
+def test_leg_matches_the_reference(engine, executor, cache, front,
+                                   reference, config_hashes):
+    with _front(front, engine, executor) as run:
         cells, manifest, done = run()
         if cache == "warm":
-            assert cells == expected, "the pass that fills the cache"
+            assert cells == reference, "the pass that fills the cache"
             runner.clear_cache()
             reset_cache()
             cells, manifest, done = run()
-    assert cells == expected
+    assert cells == reference
     assert manifest["engine"] == f"{engine}@1"
-    config_hash = family_hashes.setdefault(family, manifest["config_hash"])
-    assert manifest["config_hash"] == config_hash
+    config_hashes.add(manifest["config_hash"])
+    assert len(config_hashes) == 1, config_hashes
     if front == "served":
         assert manifest["serve"]["executor"] == executor
         source = "computed" if cache == "cold" else "cached"
@@ -210,7 +206,7 @@ def test_no_c_compiler_runs_every_cell_inline(reference, tmp_path,
     monkeypatch.setenv("REPRO_BATCH_KERNEL_DIR", str(tmp_path / "kernel"))
     monkeypatch.setattr(bk, "_ckernel", False)
     cells, manifest, _ = _sweep_direct(engine="batch")
-    assert cells == reference["default"]
+    assert cells == reference
     assert manifest["engine"] == "batch@1"
     assert manifest["batch"]["fallbacks_by_reason"] == {"no C kernel": CELLS}
     assert manifest["batch"]["cells_by_path"] == {"fallback": CELLS}
@@ -231,7 +227,7 @@ def test_corrupt_artifacts_are_recomputed(reference):
     reset_cache()
     telemetry.reset()
     cells, manifest, _ = _sweep_direct()
-    assert cells == reference["default"]
+    assert cells == reference
     assert _counter(manifest, "repro_cache_corrupt_total", kind="stats") >= 1
     assert _counter(manifest, "repro_cache_corrupt_total", kind="trace") >= 1
 
@@ -244,7 +240,7 @@ def test_killed_worker_is_retried(reference, monkeypatch):
                for config in CONFIGS)
     monkeypatch.setenv("REPRO_DISPATCH_FAULTS", faults)
     cells, manifest, _ = _sweep_direct(executor="fleet")
-    assert cells == reference["default"]
+    assert cells == reference
     dispatch = manifest["dispatch"]
     assert dispatch["executor"] == "fleet@1"
     assert dispatch["faults"] == faults

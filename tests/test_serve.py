@@ -22,7 +22,7 @@ import pytest
 from repro.cache import reset_cache
 from repro.dispatch import RetryPolicy, TaskSpec
 from repro.dispatch.fleet import PersistentFleet
-from repro.experiments.runner import AppContext, app_context, clear_cache
+from repro.experiments.runner import AppContext, clear_cache
 from repro.loadgen import (
     ClosedLoopEngine,
     OpenLoopEngine,
@@ -159,29 +159,6 @@ class TestWireFront:
             with pytest.raises(ServeError, match="unknown workload"):
                 list(client.sweep({"apps": ["NotAnApp"]}))
 
-    def test_sweep_with_workload_family(self, server, monkeypatch):
-        spec = dict(SPEC, workload_family="bursty")
-        with ServeClient(server.wire) as client:
-            records = list(client.sweep(spec, job_id="fam-cold"))
-            warm = list(client.sweep(spec, job_id="fam-warm"))[-1]
-        served = {r["scheme"]: r["stats"] for r in records
-                  if r["type"] == "cell"}
-        # The reference must not read back what the server stored.
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        reset_cache()
-        clear_cache()
-        ctx = app_context("Music", WALK, "bursty")
-        for scheme in ("baseline", "critic"):
-            assert served[scheme] == ctx.stats(scheme).to_dict()
-        assert warm["cached"] == warm["cells"] == 2
-
-    def test_unknown_family_rejected_with_suggestion(self, server):
-        with ServeClient(server.wire) as client:
-            with pytest.raises(ServeError, match="did you mean"):
-                list(client.sweep(dict(SPEC,
-                                       workload_family="zipfain")))
-            assert client.ping()
-
     def test_unknown_spec_field_rejected(self, server):
         with ServeClient(server.wire) as client:
             with pytest.raises(ServeError, match="walk_block"):
@@ -224,13 +201,9 @@ class TestHttpFront:
     def test_healthz_enumerates_every_registry(self, server):
         _status, body = self._get(server.http + "/healthz")
         registries = json.loads(body)["registries"]
-        assert len(registries) == 8
+        assert len(registries) == 7
         assert "critic@1" in registries["schemes"]
         assert "google-tablet@1" in registries["hardware_configs"]
-        families = registries["workload_families"]
-        assert "default@1" in families
-        assert "trace-replay@1" in families
-        assert "bursty@1" in families
 
     def test_metrics_exposition(self, server):
         with ServeClient(server.wire) as client:
@@ -579,16 +552,15 @@ class TestLoadgenPieces:
         with pytest.raises(ValueError, match="apps"):
             SweepGridWorkload(spec={"apps": []})
 
-    def test_grid_workload_passes_family_through_every_shape(self):
+    def test_grid_workload_passes_engine_through_every_shape(self):
         workload = SweepGridWorkload(
-            spec={"apps": ["Music", "Email"],
-                  "workload_family": "phased"},
+            spec={"apps": ["Music", "Email"], "engine": "inline"},
             mix={"cell": 1, "app": 1, "full": 1})
         stream = workload.reqs()
         reqs = [next(stream) for _ in range(6)]
         assert {r.shape for r in reqs} == {"cell", "app", "full"}
         for req in reqs:
-            assert req.spec["workload_family"] == "phased"
+            assert req.spec["engine"] == "inline"
 
 
 class TestLoadgenEndToEnd:

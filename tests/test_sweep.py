@@ -46,13 +46,6 @@ class TestSpecRoundtrip:
                          icache_policy="trrip", walk_blocks=WALK)
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
-    def test_workload_family_roundtrips(self):
-        spec = SweepSpec(apps=("Music",), walk_blocks=WALK,
-                         workload_family="bursty")
-        assert spec.to_dict() == {"apps": ["Music"], "walk_blocks": WALK,
-                                  "workload_family": "bursty"}
-        assert SweepSpec.from_dict(spec.to_dict()) == spec
-
     def test_from_dict_accepts_comma_separated_axes(self):
         spec = SweepSpec.from_dict(
             {"apps": "Music, Email", "schemes": "baseline,critic"})
@@ -91,11 +84,6 @@ class TestSweepSpec:
     def test_validate_unknown_policy(self):
         spec = SweepSpec(apps=("Music",), icache_policy="trip")
         with pytest.raises(RegistryError, match="trrip"):
-            spec.validate()
-
-    def test_validate_unknown_family_suggests(self):
-        spec = SweepSpec(apps=("Music",), workload_family="zipfain")
-        with pytest.raises(RegistryError, match="zipfian-footprint"):
             spec.validate()
 
     def test_validate_unknown_executor(self):
@@ -181,14 +169,11 @@ class TestRunSweep:
         warm = load_manifest(str(manifest_dir() / "last_run.json"))
         assert warm["config_hash"] == manifest["config_hash"]
 
-    def test_default_family_recorded_but_hash_blind(self):
+    def test_config_hash_is_the_invocation_key(self):
         spec = SweepSpec(apps=("Music",), schemes=("baseline",),
                          walk_blocks=WALK, jobs=1)
         run_sweep(spec)
         manifest = load_manifest(str(manifest_dir() / "last_run.json"))
-        assert manifest["workload_family"] == "default@1"
-        # The default family never enters the invocation record: the
-        # hash matches one computed without any family at all.
         from repro.cache import artifact_key
         invocation = {
             key: manifest[key]
@@ -197,21 +182,6 @@ class TestRunSweep:
         }
         assert manifest["config_hash"] \
             == artifact_key("run_manifest", **invocation)
-
-    def test_non_default_family_changes_config_hash(self):
-        base = SweepSpec(apps=("Music",), schemes=("baseline",),
-                         walk_blocks=WALK, jobs=1)
-        run_sweep(base)
-        default_manifest = load_manifest(
-            str(manifest_dir() / "last_run.json"))
-        run_sweep(SweepSpec(apps=("Music",), schemes=("baseline",),
-                            walk_blocks=WALK, jobs=1,
-                            workload_family="netbound"))
-        shaped_manifest = load_manifest(
-            str(manifest_dir() / "last_run.json"))
-        assert shaped_manifest["workload_family"] == "netbound@1"
-        assert shaped_manifest["config_hash"] \
-            != default_manifest["config_hash"]
 
     def test_warm_sweep_has_no_dispatch_record(self):
         spec = SweepSpec(apps=("Music",), schemes=("baseline",),
@@ -248,9 +218,8 @@ class TestCli:
         out = capsys.readouterr().out
         for needle in ("google-tablet@1", "critic@1", "two-level@1",
                        "trrip@1", "critical-nextline@1", "fleet@1",
-                       "trace-replay@1", "zipfian-footprint@1"):
+                       "batch@1"):
             assert needle in out
-        assert "workload families:" in out
         # list_components() is what --list prints
         assert list_components() in out
 
@@ -271,17 +240,3 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "critic:speedup" in out
-
-    def test_workload_family_flag_end_to_end(self, capsys):
-        code = main(["--apps", "Music", "--schemes", "baseline",
-                     "--walk-blocks", str(WALK), "--jobs", "1",
-                     "--workload-family", "vecmobile"])
-        assert code == 0
-        assert "baseline:cycles" in capsys.readouterr().out
-
-    def test_workload_family_typo_exits_2_with_suggestion(self, capsys):
-        code = main(["--apps", "Music", "--walk-blocks", str(WALK),
-                     "--workload-family", "zipfain"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "did you mean" in err and "zipfian-footprint" in err

@@ -371,19 +371,6 @@ class TestFuzzSmoke:
         second = random_profile(random.Random(5), 0)
         assert first == second
 
-    def test_family_metamorphic_round_clean(self):
-        import random
-        from repro.validate.fuzz import FuzzResult, family_metamorphic
-        result = FuzzResult()
-        report = family_metamorphic(random.Random(7), result,
-                                    walk_blocks=60)
-        assert report.ok, report.summary()
-        # six generator families x five properties each
-        assert result.properties_checked >= 30
-        assert result.simulations >= 24
-        assert all(r.ok for r in result.reports), \
-            [r.summary() for r in result.reports if not r.ok]
-
 
 class TestEnvParsing:
     """Malformed env knobs degrade to defaults with a warning."""

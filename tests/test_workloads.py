@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.cache import reset_cache
+from repro.cpu import GOOGLE_TABLET
 from repro.dfg import Dfg, critical_fraction, gap_histogram
 from repro.isa import Opcode
+from repro.experiments.runner import app_context, clear_cache
 from repro.trace import compute_producers
 from repro.workloads import (
     ALL_PROFILES,
@@ -141,3 +144,59 @@ class TestGeneration:
         for instr in mobile_wl.program:
             if instr.opcode is Opcode.BL:
                 assert instr.target in entries
+
+
+def small_profile(name="Email", walk_blocks=120):
+    base = get_profile(name)
+    return base.scaled(walk_blocks / base.walk_blocks)
+
+
+class TestTraceMemoRegression:
+    def test_trace_for_mutated_copy_is_not_stale(self):
+        """Regression: ``trace_for`` on a mutated program copy must
+        re-materialize, never serve the original's cached trace."""
+        wl = generate(small_profile())
+        original = wl.trace()
+        clone = wl.program.copy()
+        # Mutate the clone: drop a leading non-branch instruction from a
+        # block the walk actually visits, so the stream must change.
+        for block_id in wl.walk:
+            block = clone.block(block_id)
+            if len(block.instructions) > 2 \
+                    and not block.instructions[0].is_branch:
+                block.instructions.pop(0)
+                break
+        mutated = wl.trace_for(clone)
+        assert [e.uid for e in mutated] != [e.uid for e in original]
+        # The original program's memo entry is untouched.
+        assert list(wl.trace()) == list(original)
+
+    def test_trace_for_memoizes_per_program(self):
+        wl = generate(small_profile())
+        clone = wl.program.copy()
+        first = wl.trace_for(clone)
+        assert wl.trace_for(clone) is first
+        assert wl.trace_for(wl.program) is wl.trace()
+
+    def test_adopt_trace_only_fills_empty_memo(self):
+        wl = generate(small_profile())
+        foreign = generate(small_profile("Facebook"))
+        own = wl.trace()
+        wl.adopt_trace(foreign.trace())
+        assert wl.trace() is own
+
+
+def test_stats_bit_identical_across_runs(tmp_path, monkeypatch):
+    """A cold run, a warm re-run on the cache it filled, and a cold run
+    in a second cache all agree bit for bit, each in fresh contexts:
+    generation draws every random number from the profile's seed."""
+    runs = []
+    for cache_dir in ("a", "a", "b"):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache_dir))
+        reset_cache()
+        clear_cache()
+        runs.append(app_context("Email", 120).stats("baseline",
+                                                    GOOGLE_TABLET))
+    clear_cache()
+    reset_cache()
+    assert runs[0] == runs[1] == runs[2]
