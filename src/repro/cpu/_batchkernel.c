@@ -23,85 +23,66 @@
  * fetch-observer fills of that line; call-observer fills follow the
  * fetch of their call.
  *
- * Return codes: 0 done, 1 horizon reached, 2 deadlock, 3 ring overflow.
+ * One call runs a cell to completion.  Return codes: 0 done, 2 deadlock,
+ * 3 ring overflow.
  */
 
-/* register layout — must match _batchkernel.py exactly */
+/* register layout — must match _batchkernel.py exactly: the cycle
+ * count and counters out, then the configuration in */
 #define R_NOW 0
 #define R_COMMITTED 1
-#define R_FETCH_POS 2
-#define R_ICACHE_READY 3
-#define R_FETCH_RESUME 4
-#define R_REDIRECT_POS 5
-#define R_ROB_HEAD 6
-#define R_ROB_TAIL 7
-#define R_FQ_HEAD 8
-#define R_FQ_TAIL 9
-#define R_DQ_HEAD 10
-#define R_DQ_TAIL 11
-#define R_PEND_HEAD 12
-#define R_PEND_TAIL 13
-#define R_READY_N 14
-#define R_READYC_N 15
-#define R_UNISSUED 16
-#define R_NEXT_EV 17
-#define R_INFLIGHT 18
-#define R_WD_COMMITTED 19
-#define R_WD_FETCH_POS 20
-#define R_F_ACTIVE 21
-#define R_F_ICACHE 22
-#define R_F_BRANCH 23
-#define R_F_SWITCH 24
-#define R_F_BP 25
-#define R_F_DRAINED 26
-#define R_FC_ACTIVE 27
-#define R_FC_ICACHE 28
-#define R_FC_BRANCH 29
-#define R_FC_SWITCH 30
-#define R_FC_BP 31
-#define R_IQ_OCC_SUM 32
-#define R_IQ_FULL 33
-#define R_ROB_OCC_SUM 34
-#define R_CDP_DECODED 35
-#define R_DC_ACC 36
-#define R_DC_MISS 37
-#define R_L2D_ACC 38
-#define R_COMMIT_W 39
-#define R_RENAME_W 40
-#define R_ISSUE_W 41
-#define R_ROB_ENTRIES 42
-#define R_IQ_ENTRIES 43
-#define R_DECODE_BYTES 44
-#define R_CDP_EXTRA 45
-#define R_FETCH_BYTES 46
-#define R_FQ_CAP 47
-#define R_DECODE_CAP 48
-#define R_SCHED_WIN 49
-#define R_BACKEND_PRIO 50
-#define R_REDIRECT_PEN 51
-#define R_SWITCH_BUBBLE 52
-#define R_FU_ALU 53
-#define R_FU_MUL 54
-#define R_FU_FP 55
-#define R_FU_MEM 56
-#define R_FU_BRANCH 57
-#define R_ICACHE_HIT 58
-#define R_L2_HIT 59
-#define R_DCACHE_HIT 60
-#define R_DC_SETS 61
-#define R_DC_ASSOC 62
-#define R_ROB_MASK 63
-#define R_FQ_MASK 64
-#define R_DQ_MASK 65
-#define R_PEND_MASK 66
-#define R_WHEEL_MASK 67
-#define R_NEXT_IOP 68
-#define R_L2_MISS 69
-#define R_DRAM_READS 70
-#define R_L2_ASSOC 71
-#define R_DRAM_BANKS 72
-#define R_DRAM_ROW_HIT 73
-#define R_DRAM_ROW_MISS 74
+#define R_F_ACTIVE 2
+#define R_F_ICACHE 3
+#define R_F_BRANCH 4
+#define R_F_SWITCH 5
+#define R_F_BP 6
+#define R_F_DRAINED 7
+#define R_FC_ACTIVE 8
+#define R_FC_ICACHE 9
+#define R_FC_BRANCH 10
+#define R_FC_SWITCH 11
+#define R_FC_BP 12
+#define R_IQ_OCC_SUM 13
+#define R_IQ_FULL 14
+#define R_ROB_OCC_SUM 15
+#define R_CDP_DECODED 16
+#define R_DC_ACC 17
+#define R_DC_MISS 18
+#define R_L2D_ACC 19
+#define R_L2_MISS 20
+#define R_DRAM_READS 21
+#define R_COMMIT_W 22
+#define R_RENAME_W 23
+#define R_ISSUE_W 24
+#define R_ROB_ENTRIES 25
+#define R_IQ_ENTRIES 26
+#define R_DECODE_BYTES 27
+#define R_CDP_EXTRA 28
+#define R_FETCH_BYTES 29
+#define R_FQ_CAP 30
+#define R_DECODE_CAP 31
+#define R_SCHED_WIN 32
+#define R_BACKEND_PRIO 33
+#define R_REDIRECT_PEN 34
+#define R_SWITCH_BUBBLE 35
+#define R_FU_ALU 36
+#define R_FU_MUL 37
+#define R_FU_FP 38
+#define R_FU_MEM 39
+#define R_FU_BRANCH 40
+#define R_ICACHE_HIT 41
+#define R_L2_HIT 42
+#define R_DCACHE_HIT 43
+#define R_DC_ASSOC 44
+#define R_ROB_MASK 45
+#define R_FQ_MASK 46
+#define R_DQ_MASK 47
+#define R_PEND_MASK 48
+#define R_WHEEL_MASK 49
+#define R_L2_ASSOC 50
+#define R_DRAM_BANKS 51
+#define R_DRAM_ROW_HIT 52
+#define R_DRAM_ROW_MISS 53
 
 #define FLAG_LOAD 1
 #define FLAG_STORE 2
@@ -211,8 +192,8 @@ static inline i64 exec_latency(Mem *m, i64 pos, i64 latency, i64 flag)
     return latency < 1 ? 1 : latency;
 }
 
-i64 repro_batch_advance(
-    i64 n, i64 max_now,
+i64 repro_batch_run(
+    i64 n,
     /* shared (read-only) */
     const i32 *sizes, const i32 *lats, const u8 *fus, const u8 *flags,
     const u8 *bact, const u8 *crit,
@@ -232,45 +213,19 @@ i64 repro_batch_advance(
     i64 *dc_tags, i32 *dc_occ, i32 *window,
     i64 *l2_tags, i32 *l2_occ, i64 *dram_rows)
 {
-    i64 now = regs[R_NOW];
-    i64 committed = regs[R_COMMITTED];
-    i64 fetch_pos = regs[R_FETCH_POS];
-    i64 icache_ready = regs[R_ICACHE_READY];
-    i64 fetch_resume = regs[R_FETCH_RESUME];
-    i64 redirect_pos = regs[R_REDIRECT_POS];
-    i64 rob_head = regs[R_ROB_HEAD];
-    i64 rob_tail = regs[R_ROB_TAIL];
-    i64 fq_head = regs[R_FQ_HEAD];
-    i64 fq_tail = regs[R_FQ_TAIL];
-    i64 dq_head = regs[R_DQ_HEAD];
-    i64 dq_tail = regs[R_DQ_TAIL];
-    i64 pend_head = regs[R_PEND_HEAD];
-    i64 pend_tail = regs[R_PEND_TAIL];
-    i64 nready = regs[R_READY_N];
-    i64 nreadyc = regs[R_READYC_N];
-    i64 unissued = regs[R_UNISSUED];
-    i64 next_ev = regs[R_NEXT_EV];
-    i64 in_flight = regs[R_INFLIGHT];
-    i64 wd_committed = regs[R_WD_COMMITTED];
-    i64 wd_fetch_pos = regs[R_WD_FETCH_POS];
-    i64 next_iop = regs[R_NEXT_IOP];
-    Mem mem;
+    i64 now = 0, committed = 0, fetch_pos = 0;
+    i64 icache_ready = 0, fetch_resume = 0, redirect_pos = -1;
+    i64 rob_head = 0, rob_tail = 0, fq_head = 0, fq_tail = 0;
+    i64 dq_head = 0, dq_tail = 0, pend_head = 0, pend_tail = 0;
+    i64 nready = 0, nreadyc = 0, unissued = 0, next_ev = 0, in_flight = 0;
+    i64 wd_committed = -1, wd_fetch_pos = -1, next_iop = 0;
+    Mem mem = {0};
 
-    i64 f_active = regs[R_F_ACTIVE];
-    i64 f_icache = regs[R_F_ICACHE];
-    i64 f_branch = regs[R_F_BRANCH];
-    i64 f_switch = regs[R_F_SWITCH];
-    i64 f_bp = regs[R_F_BP];
-    i64 f_drained = regs[R_F_DRAINED];
-    i64 fc_active = regs[R_FC_ACTIVE];
-    i64 fc_icache = regs[R_FC_ICACHE];
-    i64 fc_branch = regs[R_FC_BRANCH];
-    i64 fc_switch = regs[R_FC_SWITCH];
-    i64 fc_bp = regs[R_FC_BP];
-    i64 iq_occ_sum = regs[R_IQ_OCC_SUM];
-    i64 iq_full = regs[R_IQ_FULL];
-    i64 rob_occ_sum = regs[R_ROB_OCC_SUM];
-    i64 cdp_decoded = regs[R_CDP_DECODED];
+    i64 f_active = 0, f_icache = 0, f_branch = 0, f_switch = 0, f_bp = 0;
+    i64 f_drained = 0;
+    i64 fc_active = 0, fc_icache = 0, fc_branch = 0, fc_switch = 0;
+    i64 fc_bp = 0;
+    i64 iq_occ_sum = 0, iq_full = 0, rob_occ_sum = 0, cdp_decoded = 0;
 
     const i64 commit_w = regs[R_COMMIT_W];
     const i64 rename_w = regs[R_RENAME_W];
@@ -295,7 +250,6 @@ i64 repro_batch_advance(
     const i64 pend_mask = regs[R_PEND_MASK];
     const i64 wheel_mask = regs[R_WHEEL_MASK];
 
-    i64 status = 1;
     i64 caps[5];
     fu_base[0] = regs[R_FU_ALU];
     fu_base[1] = regs[R_FU_MUL];
@@ -321,15 +275,8 @@ i64 repro_batch_advance(
     mem.dram_banks = regs[R_DRAM_BANKS];
     mem.dram_row_hit = regs[R_DRAM_ROW_HIT];
     mem.dram_row_miss = regs[R_DRAM_ROW_MISS];
-    mem.dc_acc = regs[R_DC_ACC];
-    mem.dc_miss = regs[R_DC_MISS];
-    mem.l2d_acc = regs[R_L2D_ACC];
-    mem.l2_miss = regs[R_L2_MISS];
-    mem.dram_reads = regs[R_DRAM_READS];
 
-    for (;;) {
-        if (committed >= n) { status = 0; break; }
-        if (now >= max_now) { status = 1; break; }
+    while (committed < n) {
 
         /* ---- commit ---- */
         {
@@ -620,11 +567,8 @@ i64 repro_batch_advance(
 
         if ((now & WD_MASK) == WD_MASK) {
             if (committed == wd_committed && fetch_pos == wd_fetch_pos
-                    && !in_flight) {
-                status = 2;
-                now += 1;
-                break;
-            }
+                    && !in_flight)
+                return 2;
             wd_committed = committed;
             wd_fetch_pos = fetch_pos;
         }
@@ -633,25 +577,6 @@ i64 repro_batch_advance(
 
     regs[R_NOW] = now;
     regs[R_COMMITTED] = committed;
-    regs[R_FETCH_POS] = fetch_pos;
-    regs[R_ICACHE_READY] = icache_ready;
-    regs[R_FETCH_RESUME] = fetch_resume;
-    regs[R_REDIRECT_POS] = redirect_pos;
-    regs[R_ROB_HEAD] = rob_head;
-    regs[R_ROB_TAIL] = rob_tail;
-    regs[R_FQ_HEAD] = fq_head;
-    regs[R_FQ_TAIL] = fq_tail;
-    regs[R_DQ_HEAD] = dq_head;
-    regs[R_DQ_TAIL] = dq_tail;
-    regs[R_PEND_HEAD] = pend_head;
-    regs[R_PEND_TAIL] = pend_tail;
-    regs[R_READY_N] = nready;
-    regs[R_READYC_N] = nreadyc;
-    regs[R_UNISSUED] = unissued;
-    regs[R_NEXT_EV] = next_ev;
-    regs[R_INFLIGHT] = in_flight;
-    regs[R_WD_COMMITTED] = wd_committed;
-    regs[R_WD_FETCH_POS] = wd_fetch_pos;
     regs[R_F_ACTIVE] = f_active;
     regs[R_F_ICACHE] = f_icache;
     regs[R_F_BRANCH] = f_branch;
@@ -667,11 +592,10 @@ i64 repro_batch_advance(
     regs[R_IQ_FULL] = iq_full;
     regs[R_ROB_OCC_SUM] = rob_occ_sum;
     regs[R_CDP_DECODED] = cdp_decoded;
-    regs[R_NEXT_IOP] = next_iop;
     regs[R_DC_ACC] = mem.dc_acc;
     regs[R_DC_MISS] = mem.dc_miss;
     regs[R_L2D_ACC] = mem.l2d_acc;
     regs[R_L2_MISS] = mem.l2_miss;
     regs[R_DRAM_READS] = mem.dram_reads;
-    return status;
+    return 0;
 }

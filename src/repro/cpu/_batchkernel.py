@@ -17,17 +17,16 @@ run under both engines, and the identity matrix
 :func:`get_kernel` returns ``None`` and the batch engine runs every cell
 inline (same numbers, less speed).
 
-The kernel operates on one *cell* (a :class:`CellState`) at a time and
-advances it up to a caller-chosen cycle horizon, which is what lets the
-batch engine run many cells in lockstep rounds.  All mutable state lives
-in the cell's ``regs`` vector and side arrays, so a cell can be resumed
-across rounds freely.
+The kernel runs one *cell* (a :class:`CellState`) to completion in one
+call.  Its machine state lives in C locals; the cell's ``regs`` vector
+carries the configuration in and the cycle count and counters out, and
+its side arrays (rings, timestamps, cache images) are numpy allocations
+made here.
 
 Status codes returned by the kernel:
 
 ====  ========================================================
 0     trace fully committed (``regs[R_NOW]`` is the cycle count)
-1     cycle horizon reached; resume with a later horizon
 2     no-forward-progress deadlock (mirror of the inline watchdog)
 3     ring-capacity overflow — caller must redo the cell inline
 ====  ========================================================
@@ -43,96 +42,73 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 # -- register layout -----------------------------------------------------------
-# One int64 vector per cell holds every scalar the cycle loop mutates
-# (machine state, statistics counters) plus the cell's configuration
-# constants, so a kernel call is pure array-in/array-out.  The C kernel
-# mirrors these indices with #defines; the bit-identity tests against
-# the inline simulator pin the layout.
+# One int64 vector per cell: the kernel writes the cycle count, the
+# commit count and the statistics counters, and reads the cell's
+# configuration constants.  The C kernel mirrors these indices with
+# #defines; the bit-identity tests against the inline simulator pin the
+# layout.
 
-# mutable machine state
+# results
 R_NOW = 0
 R_COMMITTED = 1
-R_FETCH_POS = 2
-R_ICACHE_READY = 3
-R_FETCH_RESUME = 4
-R_REDIRECT_POS = 5
-R_ROB_HEAD = 6
-R_ROB_TAIL = 7
-R_FQ_HEAD = 8
-R_FQ_TAIL = 9
-R_DQ_HEAD = 10
-R_DQ_TAIL = 11
-R_PEND_HEAD = 12
-R_PEND_TAIL = 13
-R_READY_N = 14
-R_READYC_N = 15
-R_UNISSUED = 16
-R_NEXT_EV = 17
-R_INFLIGHT = 18
-R_WD_COMMITTED = 19
-R_WD_FETCH_POS = 20
-# statistics counters
-R_F_ACTIVE = 21
-R_F_ICACHE = 22
-R_F_BRANCH = 23
-R_F_SWITCH = 24
-R_F_BP = 25
-R_F_DRAINED = 26
-R_FC_ACTIVE = 27
-R_FC_ICACHE = 28
-R_FC_BRANCH = 29
-R_FC_SWITCH = 30
-R_FC_BP = 31
-R_IQ_OCC_SUM = 32
-R_IQ_FULL = 33
-R_ROB_OCC_SUM = 34
-R_CDP_DECODED = 35
-R_DC_ACC = 36
-R_DC_MISS = 37
-R_L2D_ACC = 38
+R_F_ACTIVE = 2
+R_F_ICACHE = 3
+R_F_BRANCH = 4
+R_F_SWITCH = 5
+R_F_BP = 6
+R_F_DRAINED = 7
+R_FC_ACTIVE = 8
+R_FC_ICACHE = 9
+R_FC_BRANCH = 10
+R_FC_SWITCH = 11
+R_FC_BP = 12
+R_IQ_OCC_SUM = 13
+R_IQ_FULL = 14
+R_ROB_OCC_SUM = 15
+R_CDP_DECODED = 16
+R_DC_ACC = 17
+R_DC_MISS = 18
+R_L2D_ACC = 19
+R_L2_MISS = 20
+R_DRAM_READS = 21
 # configuration constants
-R_COMMIT_W = 39
-R_RENAME_W = 40
-R_ISSUE_W = 41
-R_ROB_ENTRIES = 42
-R_IQ_ENTRIES = 43
-R_DECODE_BYTES = 44
-R_CDP_EXTRA = 45
-R_FETCH_BYTES = 46
-R_FQ_CAP = 47
-R_DECODE_CAP = 48
-R_SCHED_WIN = 49
-R_BACKEND_PRIO = 50
-R_REDIRECT_PEN = 51
-R_SWITCH_BUBBLE = 52
-R_FU_ALU = 53
-R_FU_MUL = 54
-R_FU_FP = 55
-R_FU_MEM = 56
-R_FU_BRANCH = 57
-R_ICACHE_HIT = 58
-R_L2_HIT = 59
-R_DCACHE_HIT = 60
-R_DC_SETS = 61
-R_DC_ASSOC = 62
-R_ROB_MASK = 63
-R_FQ_MASK = 64
-R_DQ_MASK = 65
-R_PEND_MASK = 66
-R_WHEEL_MASK = 67
-# over-subscribed L2 sets and DRAM: state, counters, constants
-R_NEXT_IOP = 68
-R_L2_MISS = 69
-R_DRAM_READS = 70
-R_L2_ASSOC = 71
-R_DRAM_BANKS = 72
-R_DRAM_ROW_HIT = 73
-R_DRAM_ROW_MISS = 74
+R_COMMIT_W = 22
+R_RENAME_W = 23
+R_ISSUE_W = 24
+R_ROB_ENTRIES = 25
+R_IQ_ENTRIES = 26
+R_DECODE_BYTES = 27
+R_CDP_EXTRA = 28
+R_FETCH_BYTES = 29
+R_FQ_CAP = 30
+R_DECODE_CAP = 31
+R_SCHED_WIN = 32
+R_BACKEND_PRIO = 33
+R_REDIRECT_PEN = 34
+R_SWITCH_BUBBLE = 35
+R_FU_ALU = 36
+R_FU_MUL = 37
+R_FU_FP = 38
+R_FU_MEM = 39
+R_FU_BRANCH = 40
+R_ICACHE_HIT = 41
+R_L2_HIT = 42
+R_DCACHE_HIT = 43
+R_DC_ASSOC = 44
+R_ROB_MASK = 45
+R_FQ_MASK = 46
+R_DQ_MASK = 47
+R_PEND_MASK = 48
+R_WHEEL_MASK = 49
+R_L2_ASSOC = 50
+R_DRAM_BANKS = 51
+R_DRAM_ROW_HIT = 52
+R_DRAM_ROW_MISS = 53
 
-R_COUNT = 75
+R_COUNT = 54
 
 #: entry flag bits (packed from the trace tables' isld/isst/iscdp)
 FLAG_LOAD = 1
@@ -149,8 +125,7 @@ def pow2ceil(value: int) -> int:
 
 
 class SharedArrays:
-    """Read-only per-batch numpy arrays shared by every cell of one
-    class."""
+    """Read-only numpy views of one cell's trace columns and profiles."""
 
     __slots__ = (
         "n", "sizes", "lats", "fus", "flags", "bact", "crit",
@@ -162,7 +137,7 @@ class SharedArrays:
 
 
 class CellState:
-    """All mutable state of one in-flight grid cell."""
+    """The kernel's output and scratch arrays for one grid cell."""
 
     __slots__ = (
         "regs", "head_c", "fetch_c", "decode_c", "dispatch_c",
@@ -172,7 +147,6 @@ class CellState:
         "wheel_head", "wheel_tail", "next_comp", "ev_time",
         "dc_tags", "dc_occ", "window",
         "l2_tags", "l2_occ", "dram_rows",
-        "shared", "index", "cptrs",
     )
 
 
@@ -187,7 +161,7 @@ def make_cell(shared: SharedArrays, profile: Any, config: Any,
     ``(banks, row-hit latency, row-miss latency)``.
     """
     n = shared.n
-    dc_sets, dc_assoc, dc_occ_img, dc_tags_img = profile.dc_snapshot
+    _, dc_assoc, dc_occ_img, dc_tags_img = profile.dc_snapshot
     _, l2_assoc, l2_occ_img, l2_tags_img = profile.l2_snapshot
     dram_banks, dram_row_hit, dram_row_miss = profile.dram
 
@@ -199,13 +173,7 @@ def make_cell(shared: SharedArrays, profile: Any, config: Any,
     win_cap = 2 * max(config.scheduling_window, 1) + 2
 
     cs = CellState()
-    cs.shared = shared
-    cs.cptrs = None
-
     regs = [0] * R_COUNT
-    regs[R_REDIRECT_POS] = -1
-    regs[R_WD_COMMITTED] = -1
-    regs[R_WD_FETCH_POS] = -1
     regs[R_COMMIT_W] = config.commit_width
     regs[R_RENAME_W] = config.rename_width
     regs[R_ISSUE_W] = config.issue_width
@@ -228,7 +196,6 @@ def make_cell(shared: SharedArrays, profile: Any, config: Any,
     regs[R_ICACHE_HIT] = config.memory.icache_hit
     regs[R_L2_HIT] = config.memory.l2_hit
     regs[R_DCACHE_HIT] = config.memory.dcache_hit
-    regs[R_DC_SETS] = dc_sets
     regs[R_DC_ASSOC] = dc_assoc
     regs[R_ROB_MASK] = rob_cap - 1
     regs[R_FQ_MASK] = fq_cap_ring - 1
@@ -272,8 +239,8 @@ def make_cell(shared: SharedArrays, profile: Any, config: Any,
 
 # -- C kernel loading ----------------------------------------------------------
 
-#: pointer-argument order of the C entry point (after the two scalars
-#: ``n`` and ``max_now``); must match ``repro_batch_advance`` exactly.
+#: pointer-argument order of the C entry point (after the scalar ``n``);
+#: must match ``repro_batch_run`` exactly.
 _PTR_FIELDS = (
     # shared
     "sizes", "lats", "fus", "flags", "bact", "crit",
@@ -376,12 +343,11 @@ def _build_ckernel() -> Optional[ctypes.CDLL]:
         return None
     try:
         lib = ctypes.CDLL(request[2])
-        fn = lib.repro_batch_advance
+        fn = lib.repro_batch_run
     except (OSError, AttributeError):
         return None
     fn.restype = ctypes.c_longlong
-    fn.argtypes = [ctypes.c_longlong, ctypes.c_longlong] \
-        + [ctypes.c_void_p] * len(_PTR_FIELDS)
+    fn.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * len(_PTR_FIELDS)
     return fn
 
 
@@ -422,15 +388,9 @@ def prebuild() -> None:
                          name="batchkernel-build").start()
 
 
-def cell_pointers(sh: SharedArrays, cs: CellState) -> List[int]:
-    """The C call's pointer-argument vector for one cell (cached)."""
-    if cs.cptrs is None:
-        ptrs = [getattr(sh, name).ctypes.data for name in _SHARED_FIELDS]
-        ptrs += [getattr(cs, name).ctypes.data for name in _CELL_FIELDS]
-        cs.cptrs = ptrs
-    return cs.cptrs
-
-
-def advance_cell_c(fn: Any, sh: SharedArrays, cs: CellState,
-                   max_now: int) -> int:
-    return int(fn(sh.n, max_now, *cell_pointers(sh, cs)))
+def run_cell(fn: Any, sh: SharedArrays, cs: CellState) -> int:
+    """Run one cell on the kernel ``fn`` to completion; returns the
+    kernel's status code."""
+    ptrs = [getattr(sh, name).ctypes.data for name in _SHARED_FIELDS]
+    ptrs += [getattr(cs, name).ctypes.data for name in _CELL_FIELDS]
+    return int(fn(sh.n, *ptrs))

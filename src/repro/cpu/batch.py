@@ -1,5 +1,5 @@
-"""Batched lockstep simulation engine (the registry's ``batch`` engine,
-the default).
+"""Batched simulation engine (the registry's ``batch`` engine, the
+default).
 
 The paper's grids (Figs 10-13) simulate sampled traces under many
 hardware/scheme cells.  The inline :class:`repro.cpu.pipeline.
@@ -20,10 +20,10 @@ this engine removes that cost by splitting a cell into
    stepping over the columns and profiles, compiled from C at first
    use.  Its reference is the inline simulator.
 
-Cells sharing a trace then advance together in lockstep rounds of a few
-thousand cycles each, and columns and profiles are weakly memoized per
-trace so a seven-config hardware sweep replays the branch predictor and
-memory system once per distinct configuration class, not once per cell.
+Each cell then runs to completion in one kernel call, one cell at a
+time, and columns and profiles are weakly memoized per trace so a
+seven-config hardware sweep replays the branch predictor and memory
+system once per distinct configuration class, not once per cell.
 
 Why the replay is exact
 -----------------------
@@ -81,7 +81,7 @@ from repro.cpu.pipeline import (
     Simulator,
     _observes,
     _static_facts,
-    _validator_from_env,
+    resolve_validator,
 )
 from repro.cpu.stats import STAGES, SimStats
 from repro.dfg.fanout import HIGH_FANOUT_THRESHOLD
@@ -94,10 +94,6 @@ from repro.memory.replacement import LruPolicy, TrripPolicy, make_policy
 from repro.registry import BRANCH_PREDICTORS, ICACHE_POLICIES, PREFETCHERS
 from repro.trace.dependence import reads_flags, writes_flags
 from repro.trace.dynamic import Trace
-
-#: Lockstep horizon: every active cell advances to ``round * _ROUND`` and
-#: yields, so a batch interleaves at a few-thousand-cycle grain.
-_ROUND_CYCLES = 4096
 
 
 def _require_numpy():
@@ -708,11 +704,8 @@ def _dcache_map(np, arrays: _TraceArrays, line_bytes: int,
 
 def _make_shared(np, arrays: _TraceArrays, config, bp: _BranchProfile,
                  mp: _MemoryProfile, crit) -> bk.SharedArrays:
-    """Assemble one cell class's read-only numpy arrays.
-
-    Every n-sized array is built once per trace or per profile, so
-    cells of the same class share them.
-    """
+    """One cell's read-only kernel inputs: views of the arrays built
+    once per trace or per profile, so building them copies nothing."""
     sh = bk.SharedArrays()
     sh.n = arrays.n
     for name in ("sizes", "lats", "fus", "flags", "prod_ptr", "prod_idx",
@@ -848,8 +841,7 @@ def _finalize_cell(np, trace: Trace, config, cell: bk.CellState,
 
 
 class _CellPlan:
-    __slots__ = ("index", "config", "reason", "bp", "mp", "shared",
-                 "cell", "status")
+    __slots__ = ("index", "config", "reason", "bp", "mp")
 
     def __init__(self, index: int, config) -> None:
         self.index = index
@@ -857,9 +849,28 @@ class _CellPlan:
         self.reason: Optional[str] = None
         self.bp: Optional[_BranchProfile] = None
         self.mp: Optional[_MemoryProfile] = None
-        self.shared = None
-        self.cell = None
-        self.status = 1
+
+
+def _run_on_kernel(np, cfn, trace: Trace, arrays: _TraceArrays,
+                   plan: _CellPlan, crit, crit_mask, chain_mask,
+                   validator) -> Optional[SimStats]:
+    """Run one cell to completion on the kernel: its stats, or ``None``
+    with ``plan.reason`` set when the cell must be redone inline.  The
+    cell's state lives only for this call."""
+    mc = plan.config.memory
+    # worst d-side path: a load missing the d-cache, the L2 and the open
+    # DRAM row
+    max_latency = max(arrays.max_lat,
+                      mc.dcache_hit + mc.l2_hit + plan.mp.dram[2], 1)
+    shared = _make_shared(np, arrays, plan.config, plan.bp, plan.mp, crit)
+    cell = bk.make_cell(shared, plan.mp, plan.config, max_latency, np)
+    status = bk.run_cell(cfn, shared, cell)
+    if status == 0:
+        return _finalize_cell(np, trace, plan.config, cell, plan.bp,
+                              plan.mp, crit_mask, chain_mask, validator)
+    plan.reason = "kernel deadlock" if status == 2 \
+        else "kernel ring overflow"
+    return None
 
 
 #: diagnostics of the most recent ``simulate_batch`` call (tests and the
@@ -869,7 +880,7 @@ _last_report: Optional[Dict[str, Any]] = None
 
 def last_batch_report() -> Optional[Dict[str, Any]]:
     """Diagnostics of the most recent batch: width, fast/fallback split
-    (with per-cell reasons), lockstep rounds, and the kernel used."""
+    (with per-cell reasons), and the kernel used."""
     return _last_report
 
 
@@ -894,18 +905,8 @@ def simulate_batch(
     global _last_report
     np = _require_numpy()
     configs = list(configs)
-
-    # Resolve the validator exactly once, mirroring Simulator.__init__
-    # (fallback cells receive the same resolved instance).
-    if validate is False:
-        resolved = None
-    elif validate is True and validator is None:
-        from repro.validate.invariants import RunValidator
-        resolved = RunValidator()
-    elif validator is not None:
-        resolved = validator
-    else:
-        resolved = _validator_from_env()
+    # fallback cells receive the same resolved instance
+    resolved = resolve_validator(validator, validate)
 
     if max_cycles is not None:
         global_reason: Optional[str] = "max-cycles"
@@ -935,85 +936,28 @@ def simulate_batch(
 
     # The trace's columns are built only when some cell runs on the
     # kernel; fallback cells build the inline tables instead.
+    kernel_name = "c" if created_by_plan else "none"
     if created_by_plan:
         arrays = _trace_arrays(np, trace)
         crit = arrays.critical.astype(np.uint8) \
             if critical_positions is None \
             else _position_mask(np, arrays.n, critical_positions)
+        crit_mask = crit.astype(bool)
+        chain_mask = _position_mask(np, arrays.n, chain_positions) \
+            .astype(bool) if chain_positions else False
         for plan, created in created_by_plan:
             plan.bp = _branch_profile(np, arrays, plan.config)
             plan.mp = _memory_profile(np, arrays, plan.config, crit,
                                       created)
 
-    fast = [plan for plan in plans if plan.reason is None]
-    kernel_name = "none"
-    rounds = 0
-    active_cell_rounds = 0
+    results: List[Optional[SimStats]] = [None] * len(plans)
     with telemetry.span("simulate.batch", width=len(plans)) as span:
-        if fast:
-            kernel_name = "c"
-            max_lat = arrays.max_lat
-            shared_cache: Dict[Any, Any] = {}
-            for plan in fast:
-                skey = (id(plan.bp), id(plan.mp))
-                sh = shared_cache.get(skey)
-                if sh is None:
-                    sh = _make_shared(np, arrays, plan.config,
-                                      plan.bp, plan.mp, crit)
-                    shared_cache[skey] = sh
-                plan.shared = sh
-                mc = plan.config.memory
-                # worst d-side path: a load missing the d-cache, the L2
-                # and the open DRAM row
-                max_latency = max(max_lat,
-                                  mc.dcache_hit + mc.l2_hit
-                                  + plan.mp.dram[2], 1)
-                plan.cell = bk.make_cell(sh, plan.mp, plan.config,
-                                         max_latency, np)
-
-            running = list(fast)
-            while running:
-                rounds += 1
-                horizon = rounds * _ROUND_CYCLES
-                active_cell_rounds += len(running)
-                still = []
-                for plan in running:
-                    status = bk.advance_cell_c(
-                        cfn, plan.shared, plan.cell, horizon)
-                    if status == 1:
-                        still.append(plan)
-                    else:
-                        plan.status = status
-                        if status == 2:
-                            plan.reason = "kernel deadlock"
-                        elif status == 3:
-                            plan.reason = "kernel ring overflow"
-                running = still
-
-        # occupancy: mean fraction of the batch still active per round
-        span.attrs.update(
-            fast=sum(1 for p in plans if p.reason is None),
-            fallbacks=sum(1 for p in plans if p.reason is not None),
-            rounds=rounds,
-            kernel=kernel_name,
-            occupancy=round(
-                active_cell_rounds / (rounds * len(plans)), 4)
-            if rounds else 0.0,
-        )
-
-        if fast:
-            crit_mask = crit.astype(bool)
-            chain_mask = _position_mask(np, arrays.n, chain_positions) \
-                .astype(bool) if chain_positions else False
-
-        results: List[Optional[SimStats]] = [None] * len(plans)
         for plan in plans:
             if plan.reason is None:
-                results[plan.index] = _finalize_cell(
-                    np, trace, plan.config, plan.cell, plan.bp, plan.mp,
-                    crit_mask, chain_mask, resolved,
-                )
-            else:
+                results[plan.index] = _run_on_kernel(
+                    np, cfn, trace, arrays, plan, crit, crit_mask,
+                    chain_mask, resolved)
+            if plan.reason is not None:
                 sim = Simulator(
                     trace, plan.config,
                     critical_positions=None if critical_positions is None
@@ -1025,18 +969,18 @@ def simulate_batch(
                     validate=False if resolved is None else None,
                 )
                 results[plan.index] = sim.run(max_cycles=max_cycles)
+        fallbacks = [(p.config.name, p.reason) for p in plans
+                     if p.reason is not None]
+        fast_cells = len(plans) - len(fallbacks)
+        span.attrs.update(fast=fast_cells, fallbacks=len(fallbacks),
+                          kernel=kernel_name)
 
-    fast_cells = sum(1 for p in plans if p.reason is None)
-    fallbacks = [(p.config.name, p.reason) for p in plans
-                 if p.reason is not None]
-    occupancy = (round(active_cell_rounds / (rounds * len(plans)), 4)
-                 if rounds else 0.0)
     telemetry.inc("repro_batch_groups_total",
-                  help="Lockstep batch groups simulated, by kernel.",
+                  help="Batch groups simulated, by kernel.",
                   kernel=kernel_name)
     telemetry.observe("repro_batch_group_width", len(plans),
                       buckets=telemetry.metrics.WIDTH_BUCKETS,
-                      help="Cells per lockstep batch group.")
+                      help="Cells per batch group.")
     telemetry.inc("repro_batch_cells_total", fast_cells,
                   help="Cells by batch execution path.", path="fast")
     if fallbacks:
@@ -1049,21 +993,13 @@ def simulate_batch(
                       reason=reason)
         telemetry.emit("batch.fallback", config=config_name,
                        reason=reason, trace_len=len(trace))
-    if rounds:
-        telemetry.observe("repro_batch_occupancy", occupancy,
-                          buckets=telemetry.metrics.RATIO_BUCKETS,
-                          help="Mean fraction of a batch group still "
-                               "active per lockstep round.")
     telemetry.emit("batch.group", width=len(plans), fast=fast_cells,
-                   fallbacks=len(fallbacks), rounds=rounds,
-                   kernel=kernel_name, occupancy=occupancy)
+                   fallbacks=len(fallbacks), kernel=kernel_name)
     _last_report = {
         "width": len(plans),
         "fast": fast_cells,
         "fallbacks": fallbacks,
-        "rounds": rounds,
         "kernel": kernel_name,
-        "occupancy": occupancy,
     }
     return results  # type: ignore[return-value]
 

@@ -7,12 +7,12 @@ Engines are bit-identical by contract — they differ only in *how* the
 numbers are computed:
 
 ``batch`` (the default)
-    The lockstep many-cells-per-trace engine (:mod:`repro.cpu.batch`).
-    Requires numpy; builds per-trace numpy columns and branch/memory
-    profiles and steps the cycle loop in a compiled C kernel, falling
-    back per cell to ``inline`` whenever a cell is not vectorizable (a
-    load-observing prefetcher, the flight recorder, ``max_cycles``, a
-    cold start) or no C compiler is available.
+    The many-cells-per-trace engine (:mod:`repro.cpu.batch`).  Requires
+    numpy; builds per-trace numpy columns and branch/memory profiles and
+    runs each cell's cycle loop in one call to a compiled C kernel,
+    falling back per cell to ``inline`` whenever a cell is not
+    vectorizable (a load-observing prefetcher, the flight recorder,
+    ``max_cycles``, a cold start) or no C compiler is available.
 
 ``inline``
     The reference pure-Python cycle loop

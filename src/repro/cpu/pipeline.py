@@ -93,13 +93,20 @@ class PipelineDeadlockError(RuntimeError):
     """
 
 
-def _validator_from_env():
-    """A strict :class:`repro.validate.RunValidator` when
-    ``REPRO_VALIDATE`` is set (imported lazily: validation must cost
-    nothing — not even an import — when off)."""
-    value = os.environ.get("REPRO_VALIDATE", "").strip().lower()
-    if value in ("", "0", "false", "off", "no"):
+def resolve_validator(validator=None, validate: Optional[bool] = None):
+    """The validator a run attaches: none when ``validate`` is False, a
+    fresh strict :class:`repro.validate.RunValidator` when it is True
+    and no ``validator`` is given, else ``validator``, else a strict one
+    when ``REPRO_VALIDATE`` is set.  (Imported lazily: validation must
+    cost nothing, not even an import, when off.)"""
+    if validate is False:
         return None
+    if validator is not None:
+        return validator
+    if validate is not True:
+        value = os.environ.get("REPRO_VALIDATE", "").strip().lower()
+        if value in ("", "0", "false", "off", "no"):
+            return None
     from repro.validate.invariants import RunValidator
     return RunValidator()
 
@@ -329,15 +336,7 @@ class Simulator:
             p for p in self.prefetchers if _observes(p, "observe_fetch"))
         self.recorder = recorder if recorder is not None \
             else FlightRecorder.from_env()
-        if validate is False:
-            self.validator = None
-        elif validate is True and validator is None:
-            from repro.validate.invariants import RunValidator
-            self.validator = RunValidator()
-        elif validator is not None:
-            self.validator = validator
-        else:
-            self.validator = _validator_from_env()
+        self.validator = resolve_validator(validator, validate)
 
         self.stats = SimStats(name=config.name)
 

@@ -78,6 +78,10 @@ from repro.dispatch.base import (
 #: How often the drain loop sweeps leases/processes, seconds.
 _TICK_S = 0.05
 
+#: Longest a worker's ``ready`` is held waiting for work before it is
+#: answered ``idle``, seconds: far below the worker's receive timeout.
+_READY_HOLD_S = 1.0
+
 
 @dataclass
 class _Lease:
@@ -116,6 +120,8 @@ class Broker:
         self._listener.settimeout(0.2)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._lock = threading.RLock()
+        #: notified whenever a held ``ready`` may now be answered
+        self._wakeup = threading.Condition(self._lock)
         #: tasks submitted and not yet taken, in submission order
         self._tasks: Dict[str, TaskSpec] = {}
         self._payloads: Dict[str, bytes] = {}
@@ -147,6 +153,7 @@ class Broker:
             )
             self._seq += 1
             heapq.heappush(self._queue, (0.0, self._seq, task.id, 1))
+            self._wakeup.notify_all()
 
     def expect_worker(self, name: str) -> None:
         """Announce a worker the owner spawns; a hello under any other
@@ -200,6 +207,7 @@ class Broker:
         is left is released with ``exit`` instead of parked on ``idle``."""
         with self._lock:
             self._draining = True
+            self._wakeup.notify_all()
 
     # -- lease lifecycle -----------------------------------------------------
 
@@ -227,6 +235,7 @@ class Broker:
         ready = time.monotonic() + self.policy.backoff(attempt_no + 1)
         heapq.heappush(self._queue,
                        (ready, self._seq, task_id, attempt_no + 1))
+        self._wakeup.notify_all()
 
     def _release_lease(self, task_id: str, outcome: str,
                        error: Optional[str] = None) -> None:
@@ -362,6 +371,10 @@ class Broker:
                 pass
 
     def _on_ready(self, conn: socket.socket, worker: str) -> None:
+        """Answer a worker's ``ready``: a lease, ``exit`` when draining
+        left nothing to hand out, or, after holding the ``ready`` up to
+        :data:`_READY_HOLD_S` for work to arrive, ``idle``."""
+        deadline = time.monotonic() + _READY_HOLD_S
         with self._lock:
             # A ready with an open lease means the worker finished (or
             # abandoned) a task without reporting: the result is lost.
@@ -372,42 +385,55 @@ class Broker:
                     f"worker {worker} surrendered the lease without a "
                     f"result",
                 )
-            now = time.monotonic()
-            while self._queue:
-                ready, _seq, task_id, attempt_no = self._queue[0]
-                if task_id not in self._tasks \
-                        or task_id in self._completed \
-                        or task_id in self._leases:
+            while not self._closed:
+                now = time.monotonic()
+                wake = deadline
+                while self._queue:
+                    ready, _seq, task_id, attempt_no = self._queue[0]
+                    if task_id not in self._tasks \
+                            or task_id in self._completed \
+                            or task_id in self._leases:
+                        heapq.heappop(self._queue)
+                        continue
+                    if ready > now:
+                        # the queue head's backoff ends first
+                        wake = min(wake, ready)
+                        break
                     heapq.heappop(self._queue)
-                    continue
-                if ready > now:
+                    self._lease(conn, worker, task_id, attempt_no, now)
+                    return
+                if self._draining and not self._queue \
+                        and not self._leases:
+                    # Graceful drain: nothing left this worker could
+                    # ever be handed (active leases may still requeue,
+                    # so keep spare workers parked until the last lease
+                    # resolves).
+                    wire.send_msg(conn, {"type": "exit"})
+                    return
+                if now >= deadline:
                     break
-                heapq.heappop(self._queue)
-                self._leases[task_id] = _Lease(
-                    task_id=task_id, attempt_no=attempt_no,
-                    worker=worker, started=now, last_beat=now,
-                )
-                self._worker_lease[worker] = task_id
-                wire.send_msg(conn, {
-                    "type": "task",
-                    "id": task_id,
-                    "attempt": attempt_no,
-                    "payload": self._payloads[task_id],
-                    "heartbeat_s": self.policy.heartbeat_s,
-                })
-                telemetry.inc("repro_dispatch_leases_total",
-                              help="Task leases granted to fleet "
-                                   "workers.")
-                telemetry.emit("dispatch.lease", task=task_id,
-                               worker=worker, attempt=attempt_no)
-                return
-            if self._draining and not self._queue and not self._leases:
-                # Graceful drain: nothing left this worker could ever be
-                # handed (active leases may still requeue, so keep spare
-                # workers parked until the last lease resolves).
-                wire.send_msg(conn, {"type": "exit"})
-                return
-            wire.send_msg(conn, {"type": "idle", "sleep": _TICK_S})
+                self._wakeup.wait(wake - now)
+            wire.send_msg(conn, {"type": "idle"})
+
+    def _lease(self, conn: socket.socket, worker: str, task_id: str,
+               attempt_no: int, now: float) -> None:
+        """Lease ``task_id`` to ``worker`` and send it (lock held)."""
+        self._leases[task_id] = _Lease(
+            task_id=task_id, attempt_no=attempt_no,
+            worker=worker, started=now, last_beat=now,
+        )
+        self._worker_lease[worker] = task_id
+        wire.send_msg(conn, {
+            "type": "task",
+            "id": task_id,
+            "attempt": attempt_no,
+            "payload": self._payloads[task_id],
+            "heartbeat_s": self.policy.heartbeat_s,
+        })
+        telemetry.inc("repro_dispatch_leases_total",
+                      help="Task leases granted to fleet workers.")
+        telemetry.emit("dispatch.lease", task=task_id, worker=worker,
+                       attempt=attempt_no)
 
     def _on_heartbeat(self, worker: str, task_id: Optional[str]) -> None:
         with self._lock:
@@ -451,6 +477,7 @@ class Broker:
             record.value = value
             record.error = None
             record.error_exc = None
+            self._wakeup.notify_all()  # a drain may now release workers
 
     # -- teardown ------------------------------------------------------------
 
@@ -462,6 +489,7 @@ class Broker:
             pass
         with self._lock:
             conns = list(self._conns)
+            self._wakeup.notify_all()
         for conn in conns:
             try:
                 conn.close()

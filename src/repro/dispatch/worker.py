@@ -36,7 +36,6 @@ import signal
 import socket
 import sys
 import threading
-import time
 import traceback
 from typing import Optional, Tuple
 
@@ -46,8 +45,9 @@ from repro.dispatch.faults import ENV_FAULTS, FaultPlan, corrupt_bytes
 #: Seconds into an attempt at which the ``kill`` fault fires.
 KILL_DELAY_S = 0.02
 
-#: Blocking-recv safety net: the broker answers ``ready`` immediately,
-#: so a silent minute means the broker is gone and the worker exits.
+#: Blocking-recv safety net: the broker answers ``ready`` within about a
+#: second, so a silent minute means the broker is gone and the worker
+#: exits.
 RECV_TIMEOUT_S = 60.0
 
 
@@ -119,7 +119,6 @@ def serve(address: Tuple[str, int], worker: str,
                       file=sys.stderr)
                 return 1
             if kind == "idle":
-                time.sleep(message.get("sleep", 0.05))
                 continue
             if kind != "task":
                 return 1

@@ -344,7 +344,7 @@ def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
               ) -> Tuple[str, Dict[Tuple[str, str], SimStats]]:
     """Worker body: compute ``schemes`` x ``configs`` for one app.
 
-    The batch engine advances each scheme's configs together (per-cell
+    The batch engine takes each scheme's configs as one batch (per-cell
     inline fallback happens inside
     :func:`repro.cpu.batch.simulate_batch`); any other engine runs the
     cells one by one through :meth:`AppContext.stats`.
@@ -368,7 +368,7 @@ def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
 
 def _run_batch(ctx: "AppContext", scheme: str, configs: ConfigSet,
                ) -> Dict[Tuple[str, str], SimStats]:
-    """One scheme's configs as one lockstep batch, stored to the cache."""
+    """One scheme's configs as one batch, stored to the cache."""
     from repro.cpu.batch import simulate_batch
 
     trace = ctx.scheme_trace(scheme)

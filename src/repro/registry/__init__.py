@@ -91,11 +91,11 @@ EXECUTORS = Registry(
 
 #: name -> zero-arg factory producing a ``simulate()``-compatible
 #: callable (a *simulation engine*): ``inline`` is the reference
-#: cycle-loop simulator, ``batch`` the lockstep many-cells-per-trace
-#: engine.  Engines are bit-identical by contract — the golden-stats
-#: gate and the identity matrix enforce it — so engine
-#: identity is recorded in run manifests but excluded from cache keys
-#: and ``config_hash``.
+#: cycle-loop simulator, ``batch`` the many-cells-per-trace engine on
+#: numpy columns and a C cycle kernel.  Engines are bit-identical by
+#: contract — the golden-stats gate and the identity matrix enforce it
+#: — so engine identity is recorded in run manifests but excluded from
+#: cache keys and ``config_hash``.
 SIMULATORS = Registry(
     "simulation engine", providers=("repro.cpu.engines",),
 )

@@ -2,7 +2,7 @@
 
 The span core (:mod:`repro.telemetry.spans`) records *where time went*;
 this module records *what the system did* — retries, quarantines, cache
-hits, invariant violations, batch-kernel occupancy — as first-class typed
+hits, invariant violations, batch fallbacks — as first-class typed
 metrics with Prometheus-style names and labels.  It is the repo's only
 counter API:
 
@@ -53,14 +53,9 @@ LATENCY_BUCKETS_S: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0,
 )
 
-#: Batch-group width buckets (cells per lockstep group): powers of two
+#: Batch-group width buckets (cells per batch group): powers of two
 #: up to a full fig12-style hardware sweep.
 WIDTH_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
-
-#: Unit-interval buckets (occupancy ratios, fractions).
-RATIO_BUCKETS: Tuple[float, ...] = (
-    0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0,
-)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -375,7 +370,6 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "MetricsError",
     "MetricsRegistry",
-    "RATIO_BUCKETS",
     "REGISTRY",
     "WIDTH_BUCKETS",
     "inc",

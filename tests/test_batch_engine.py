@@ -1,4 +1,4 @@
-"""Tests for the batched lockstep simulation engine (``repro.cpu.batch``).
+"""Tests for the batched simulation engine (``repro.cpu.batch``).
 
 The engine's contract is *bit-identity*: a batch must produce exactly
 the ``SimStats`` the inline simulator produces cell by cell, whatever
@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.cpu.config import (
 )
 from repro.cpu.pipeline import simulate
 from repro.experiments import runner
+from repro.experiments.fig11 import MECHANISMS
 from repro.registry import (
     HARDWARE_CONFIGS,
     PREFETCHERS,
@@ -294,6 +296,55 @@ class TestFallbacks:
         assert name == config.name
         assert "load-observing" in reason
         assert batch.to_dict() == _inline(trace, config).to_dict()
+
+    @pytest.mark.parametrize("status, reason", [
+        (2, "kernel deadlock"), (3, "kernel ring overflow")])
+    def test_kernel_status_falls_back_bit_identically(
+            self, status, reason, monkeypatch):
+        """A cell whose kernel call reports a deadlock or a ring
+        overflow is redone inline; the batch's other cells keep their
+        kernel results."""
+        trace = _fresh_trace()
+        configs = [GOOGLE_TABLET, config_efetch(), config_backend_prio()]
+        real = bk.run_cell
+        calls = []
+
+        def stub(fn, sh, cs):
+            calls.append(cs)
+            return status if len(calls) == 2 else real(fn, sh, cs)
+
+        monkeypatch.setattr(bk, "run_cell", stub)
+        batch = simulate_batch(trace, configs)
+        report = last_batch_report()
+        assert report["fallbacks"] == [(configs[1].name, reason)]
+        assert report["fast"] == 2
+        for config, stats in zip(configs, batch):
+            assert stats.to_dict() == _inline(trace, config).to_dict(), \
+                config.name
+
+
+class TestCellMemory:
+    def test_a_wide_batch_holds_one_cell_at_a_time(self):
+        """On memoized columns and profiles, the seven Fig-11 configs in
+        one batch peak below twice the largest single-config batch:
+        each cell's state is dropped before the next cell is built."""
+        trace = _fresh_trace("Email", WALK, "critic")
+        configs = [HARDWARE_CONFIGS.create(name)
+                   for name in ("google-tablet",) + MECHANISMS]
+        simulate_batch(trace, configs)  # memoize columns and profiles
+
+        def peak(cells):
+            tracemalloc.start()
+            try:
+                simulate_batch(trace, cells)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = max(peak([config]) for config in configs)
+        wide = peak(configs)
+        assert last_batch_report()["fast"] == len(configs)
+        assert wide < 2 * single, (wide, single)
 
 
 class TestManifestBatchBlock:

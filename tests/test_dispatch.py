@@ -12,6 +12,7 @@ import pickle
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -443,6 +444,83 @@ class TestBrokerAdmission:
     def test_fleet_without_workers_is_rejected(self, jobs):
         with pytest.raises(ValueError, match="at least 1 worker"):
             PersistentFleet(jobs=jobs, policy=FAST)
+
+
+class TestBrokerReady:
+    """A ``ready`` with nothing queued waits for work on the broker
+    instead of sending the worker to sleep."""
+
+    def test_held_ready_is_answered_with_the_next_task(self):
+        broker = fleet_mod.Broker(FAST)
+        peer, conn = socket.socketpair()
+        try:
+            with peer, conn:
+                held = threading.Thread(target=broker._on_ready,
+                                        args=(conn, "w"))
+                held.start()
+                time.sleep(0.1)  # the ready finds an empty queue
+                broker.add_task(TaskSpec(id="t", fn=_double, args=(3,)))
+                peer.settimeout(10)
+                message = wire.recv_msg(peer)
+                held.join(timeout=10)
+            assert message["type"] == "task", message
+            assert message["id"] == "t"
+        finally:
+            broker.close()
+
+    def test_held_readies_lease_each_task_exactly_once(self, monkeypatch):
+        """More workers than cores park readies while tasks trickle in:
+        every task is leased once and only once."""
+        monkeypatch.setattr(fleet_mod, "_READY_HOLD_S", 0.05)
+        broker = fleet_mod.Broker(FAST)
+        leased = []
+        tasks = [f"t{i}" for i in range(40)]
+
+        def worker(name, conn, peer):
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and len(leased) < len(tasks):
+                broker._on_ready(conn, name)
+                message = wire.recv_msg(peer)
+                if message["type"] == "task":
+                    leased.append(message["id"])
+                    broker._on_result(name, {
+                        "id": message["id"], "ok": True,
+                        "payload": wire.dumps(0)})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        pairs = [socket.socketpair() for _ in range(8)]
+        try:
+            threads = [threading.Thread(target=worker,
+                                        args=(f"w{k}", conn, peer))
+                       for k, (peer, conn) in enumerate(pairs)]
+            for thread in threads:
+                thread.start()
+            for task_id in tasks:
+                broker.add_task(TaskSpec(id=task_id, fn=_double, args=(1,)))
+                time.sleep(0.002)
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            for peer, conn in pairs:
+                peer.close()
+                conn.close()
+            broker.close()
+        assert sorted(leased) == sorted(tasks)
+
+    def test_ready_without_work_is_answered_idle_with_no_sleep(
+            self, monkeypatch):
+        monkeypatch.setattr(fleet_mod, "_READY_HOLD_S", 0.05)
+        broker = fleet_mod.Broker(FAST)
+        peer, conn = socket.socketpair()
+        try:
+            with peer, conn:
+                broker._on_ready(conn, "w")
+                assert wire.recv_msg(peer) == {"type": "idle"}
+        finally:
+            broker.close()
 
 
 class TestDispatchReport:
